@@ -34,7 +34,7 @@ def main() -> int:
     parser.add_argument("--instances", type=int, default=60)
     parser.add_argument("--samples", type=int, default=400)
     parser.add_argument("--iters", type=int, default=30)
-    parser.add_argument("--workers", type=int, default=4)
+    parser.add_argument("--workers", type=int, default=4, help="E-step threads")
     parser.add_argument("--seed", type=int, required=True)
     args = parser.parse_args()
 
@@ -80,14 +80,7 @@ def main() -> int:
                         config = SamplerConfig(
                             sampler=kind, samples=args.samples, seed=args.seed + 3
                         )
-                        rep = evaluate(
-                            models[variant],
-                            instances,
-                            config,
-                            q_frac,
-                            e_frac,
-                            workers=args.workers,
-                        )
+                        rep = evaluate(models[variant], instances, config, q_frac, e_frac)
                         cells.append(f"{rep.mean_max:.3f}")
                 print("  ".join(f"{c:>12}" for c in cells))
     return 0

@@ -39,15 +39,12 @@ from .learning import (
     train_em,
 )
 from .matrix_tree import (
-    AssignmentGraph,
-    LogPartition,
     NumericConsistencyError,
     SingularLaplacianError,
-    assignment_graph,
-    build_laplacian,
-    edge_posteriors,
-    log_partition,
-    unnormalized_log_joint,
+    assignment_matrices,
+    log_partition_many,
+    partition_and_posteriors_many,
+    unnormalized_log_joint_many,
 )
 from .model import (
     MISSING,
@@ -73,7 +70,6 @@ from .sampling import (
     QueryInstance,
     SamplerConfig,
     SamplerKind,
-    TreeProposal,
     estimate_cll,
     estimate_cmll,
     gibbs_sweep,
@@ -82,7 +78,6 @@ from .sampling import (
 )
 
 __all__ = [
-    "AssignmentGraph",
     "ChainState",
     "Dataset",
     "DatasetFormatError",
@@ -90,7 +85,6 @@ __all__ = [
     "GroundTruthNet",
     "IndependenceBaseline",
     "LdfmModel",
-    "LogPartition",
     "MISSING",
     "ModelFormatError",
     "NodeKey",
@@ -103,18 +97,15 @@ __all__ = [
     "Smoothing",
     "SufficientStats",
     "TrainConfig",
-    "TreeProposal",
     "VariableSchema",
     "Variant",
-    "assignment_graph",
+    "assignment_matrices",
     "brute_edge_posteriors",
     "brute_log_partition",
     "brute_unnormalized_joint",
     "brute_valid_normalizer",
-    "build_laplacian",
     "data_log_likelihood",
     "e_step",
-    "edge_posteriors",
     "enumerate_rooted_trees",
     "estimate_cll",
     "estimate_cmll",
@@ -129,18 +120,19 @@ __all__ = [
     "load_dataset",
     "load_model",
     "load_schema",
-    "log_partition",
+    "log_partition_many",
     "lookup_weight",
     "m_step",
     "make_query_instances",
     "make_uniform_model",
+    "partition_and_posteriors_many",
     "run_chain",
     "save_dataset",
     "save_model",
     "save_schema",
     "train_em",
     "tree_augmented_step",
-    "unnormalized_log_joint",
+    "unnormalized_log_joint_many",
     "validate_model",
 ]
 

@@ -31,11 +31,9 @@ from .dataio import (
     save_schema,
 )
 from .matrix_tree import (
-    AssignmentGraph,
     NumericConsistencyError,
     SingularLaplacianError,
-    edge_posteriors,
-    log_partition,
+    partition_and_posteriors_many,
 )
 from .model import MISSING, Variant
 from .oracle import brute_edge_posteriors, brute_log_partition
@@ -87,8 +85,7 @@ def _build_parser() -> _Parser:
     train.add_argument("--smoothing", choices=["none", "additive", "sparsity"], default="additive")
     train.add_argument("--eps", type=float, default=0.1)
     train.add_argument("--kappa", type=float, default=0.5)
-    train.add_argument("--seed", type=int, default=0)
-    train.add_argument("--workers", type=int, default=os.cpu_count())
+    train.add_argument("--workers", type=int, default=os.cpu_count(), help="E-step threads")
 
     ev = sub.add_parser("eval", help="estimate query metrics on a test dataset")
     ev.add_argument("--model", required=True)
@@ -98,7 +95,6 @@ def _build_parser() -> _Parser:
     ev.add_argument("--instances", type=int, default=1000)
     _add_sampler_flags(ev)
     ev.add_argument("--seed", type=int, required=True)
-    ev.add_argument("--workers", type=int, default=os.cpu_count())
     ev.add_argument("--out")
 
     query = sub.add_parser("query", help="estimate one conditional probability")
@@ -175,7 +171,6 @@ def _cmd_train(args) -> int:
         eps=args.eps,
         kappa=args.kappa,
         variant=Variant.PLAIN if args.variant == "plain" else Variant.STOP_AUGMENTED,
-        seed=args.seed,
     )
     t0 = time.perf_counter()
     model, trace = learning.train_em(dataset.rows, dataset.schema, config, workers=args.workers)
@@ -201,7 +196,6 @@ def _cmd_eval(args) -> int:
         _sampler_config(args),
         q_frac=args.q_frac,
         e_frac=args.e_frac,
-        workers=args.workers,
     )
     text = evaluation.format_report(report)
     sys.stdout.write(text)
@@ -260,11 +254,10 @@ def _cmd_check(args) -> int:
     for _ in range(args.trials):
         w = np.zeros((n + 1, n + 1))
         w[:, 1:] = rng.uniform(0.01, 1.0, size=(n + 1, n))
-        graph = AssignmentGraph(w)
-        fast = log_partition(graph).log_z
-        brute = brute_log_partition(graph).log_z
-        worst_logz = max(worst_logz, abs(fast - brute) / max(abs(brute), 1.0))
-        diff = np.abs(edge_posteriors(graph) - brute_edge_posteriors(graph)).max()
+        logz, post = partition_and_posteriors_many(w[None])
+        brute = brute_log_partition(w)
+        worst_logz = max(worst_logz, abs(float(logz[0]) - brute) / max(abs(brute), 1.0))
+        diff = np.abs(post[0] - brute_edge_posteriors(w)).max()
         worst_post = max(worst_post, float(diff))
     ok = worst_logz < CHECK_TOL and worst_post < CHECK_TOL
     sys.stdout.write(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LdfmModel, Variant, VariableSchema
+from .model import LdfmModel, Variant, VariableSchema, validate_model, weight_violations
 from .rng import make_rng
 
 FORMAT_VERSION = 1
@@ -220,37 +220,52 @@ def load_model(path) -> LdfmModel:
     variant = Variant(payload["variant"])
     k = schema.num_keys
     dep = np.zeros((1 + k, k))
+    dep_set = np.zeros((1 + k, k), dtype=bool)
 
     def fill_row(row: int, entries: dict) -> None:
         for var_name, by_label in entries.items():
             v = schema.var_index(var_name)
             for label, weight in by_label.items():
-                dep[row, schema.col_of(v, schema.value_index(v, label))] = weight
+                col = schema.col_of(v, schema.value_index(v, label))
+                dep[row, col] = weight
+                dep_set[row, col] = True
 
     fill_row(0, payload["root_weights"])
     for var_name, by_label in payload["weights"].items():
         v = schema.var_index(var_name)
         for label, entries in by_label.items():
             fill_row(1 + schema.col_of(v, schema.value_index(v, label)), entries)
+    missing = np.argwhere(schema.source_mask & ~dep_set)
+    if missing.size:
+        row, col = missing[0]
+        raise ModelFormatError(
+            f"{path}: no weight for {schema.describe_row(row)} -> "
+            f"{schema.describe_key(schema.key_of_col(col))}"
+        )
 
     stop = None
     if variant is Variant.STOP_AUGMENTED:
         stop = np.zeros(1 + k)
-        stop[0] = payload["root_stop"]
+        stop_set = np.zeros(1 + k, dtype=bool)
+        stop[0], stop_set[0] = payload["root_stop"], True
         for var_name, by_label in payload["stop_weights"].items():
             v = schema.var_index(var_name)
             for label, weight in by_label.items():
-                stop[1 + schema.col_of(v, schema.value_index(v, label))] = weight
+                row = 1 + schema.col_of(v, schema.value_index(v, label))
+                stop[row], stop_set[row] = weight, True
+        if not stop_set.all():
+            row = np.argmin(stop_set)
+            raise ModelFormatError(f"{path}: no stop weight for {schema.describe_row(row)}")
 
     model = LdfmModel(schema, variant, dep, stop)
-    totals = model.dep.sum(axis=1)
-    if variant is Variant.STOP_AUGMENTED:
-        totals = totals + model.stop
-    rows = np.nonzero(schema.target_counts > 0)[0] if variant is Variant.PLAIN else np.arange(1 + k)
-    worst = float(np.abs(totals[rows] - 1.0).max()) if rows.size else 0.0
-    if worst > LOAD_NORMALIZATION_WARN:
+    defects = weight_violations(model)
+    if defects:
+        raise ModelFormatError(f"{path}: {'; '.join(defects)}")
+    deviations = validate_model(model, LOAD_NORMALIZATION_WARN)
+    if deviations:
         warnings.warn(
-            f"{path}: loaded weights deviate from normalization by {worst:.3g}",
+            f"{path}: loaded weights deviate from normalization in {len(deviations)} "
+            f"row(s), first {deviations[0]}",
             RuntimeWarning,
             stacklevel=2,
         )

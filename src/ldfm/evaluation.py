@@ -11,7 +11,6 @@ the floor any dependency-aware model should beat.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,7 +90,6 @@ def evaluate(
     config: SamplerConfig,
     q_frac: float,
     e_frac: float,
-    workers: int | None = None,
     seconds_train: float = 0.0,
 ) -> EvalReport:
     """Sample each instance and aggregate normalized CLL/CMLL/max metrics.
@@ -100,33 +98,21 @@ def evaluate(
     so reports are deterministic and instances stay independent.
     """
     cards = model.schema.cards
-
-    def one(idx_instance) -> tuple[float, float]:
-        idx, instance = idx_instance
-        samples = run_chain(model, instance, config, seed=[config.seed, idx])
-        return (
-            estimate_cll(samples, instance, normalize=True),
-            estimate_cmll(samples, instance, cards, normalize=True),
-        )
-
     t0 = time.perf_counter()
-    jobs = list(enumerate(instances))
-    if workers is not None and workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, jobs))
-    else:
-        results = [one(job) for job in jobs]
+    per_cll, per_cmll = [], []
+    for idx, instance in enumerate(instances):
+        samples = run_chain(model, instance, config, seed=[config.seed, idx])
+        per_cll.append(estimate_cll(samples, instance, normalize=True))
+        per_cmll.append(estimate_cmll(samples, instance, cards, normalize=True))
     seconds_infer = time.perf_counter() - t0
 
-    per_cll = tuple(r[0] for r in results)
-    per_cmll = tuple(r[1] for r in results)
-    per_max = tuple(max(a, b) for a, b in results)
+    per_max = tuple(max(a, b) for a, b in zip(per_cll, per_cmll))
     return EvalReport(
         instances=len(instances),
         q_frac=q_frac,
         e_frac=e_frac,
-        per_cll=per_cll,
-        per_cmll=per_cmll,
+        per_cll=tuple(per_cll),
+        per_cmll=tuple(per_cmll),
         per_max=per_max,
         mean_cll=float(np.mean(per_cll)),
         mean_cmll=float(np.mean(per_cmll)),

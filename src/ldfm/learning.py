@@ -14,6 +14,7 @@ import enum
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -51,7 +52,6 @@ class TrainConfig:
     eps: float = 0.1
     kappa: float = 0.5
     variant: Variant = Variant.PLAIN
-    seed: int = 0  # reserved for restart strategies; EM itself is deterministic
 
     def __post_init__(self) -> None:
         if self.max_iters < 1:
@@ -116,7 +116,7 @@ def _as_sample_matrix(data, schema: VariableSchema) -> np.ndarray:
 
 def _chunk_stats(model: LdfmModel, xs: np.ndarray, start: int) -> SufficientStats:
     schema = model.schema
-    b, n = xs.shape
+    b = xs.shape[0]
     k = schema.num_keys
     weights = matrix_tree.assignment_matrices(model, xs)
     try:
@@ -129,11 +129,8 @@ def _chunk_stats(model: LdfmModel, xs: np.ndarray, start: int) -> SufficientStat
             f"sample {bad} has no positive-weight spanning tree"
         ) from exc
 
-    rows = np.concatenate(
-        [np.zeros((b, 1), dtype=np.int64), 1 + schema.offsets[None, :] + xs], axis=1
-    )
-    cols = schema.offsets[None, :] + xs
-    flat = (rows[:, :, None] * k + cols[:, None, :]).ravel()
+    rows = schema.assignment_rows(xs)
+    flat = (rows[:, :, None] * k + (rows[:, None, 1:] - 1)).ravel()
     edge = np.bincount(flat, weights=post[:, :, 1:].ravel(), minlength=(1 + k) * k)
     occur = np.bincount(rows.ravel(), minlength=1 + k).astype(np.float64)
     ll = float(logz.sum())
@@ -142,24 +139,36 @@ def _chunk_stats(model: LdfmModel, xs: np.ndarray, start: int) -> SufficientStat
     return SufficientStats(edge.reshape(1 + k, k), occur, b, ll)
 
 
-def e_step(model: LdfmModel, data, workers: int | None = None) -> SufficientStats:
-    """Edge-posterior statistics and log-likelihood over complete samples.
+def _map_chunks(fn: Callable, xs: np.ndarray, workers: int | None) -> list:
+    """``fn(chunk, start)`` over fixed-size chunks in sample order.
 
-    The reduction runs over fixed-size chunks in sample order, so the result
-    is identical for any worker count.
+    Chunk boundaries do not depend on ``workers``, so reducing the results
+    in order gives the same floats for any worker count.
     """
-    xs = _as_sample_matrix(data, model.schema)
-    starts = range(0, xs.shape[0], CHUNK)
-    jobs = [(xs[s : s + CHUNK], s) for s in starts]
+    jobs = [(xs[s : s + CHUNK], s) for s in range(0, xs.shape[0], CHUNK)]
     if workers is not None and workers > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda job: _chunk_stats(model, *job), jobs))
-    else:
-        parts = [_chunk_stats(model, chunk, s) for chunk, s in jobs]
-    total = parts[0]
-    for part in parts[1:]:
-        total = total + part
-    return total
+            return list(pool.map(lambda job: fn(*job), jobs))
+    return [fn(*job) for job in jobs]
+
+
+def e_step(model: LdfmModel, data, workers: int | None = None) -> SufficientStats:
+    """Edge-posterior statistics and log-likelihood over complete samples,
+    identical for any worker count."""
+    xs = _as_sample_matrix(data, model.schema)
+    parts = _map_chunks(partial(_chunk_stats, model), xs, workers)
+    return sum(parts[1:], parts[0])
+
+
+def _chunk_loglik(model: LdfmModel, xs: np.ndarray, start: int) -> float:
+    """A chunk's log-likelihood from log Z alone, without the inverse."""
+    return float(matrix_tree.unnormalized_log_joint_many(model, xs).sum())
+
+
+def data_log_likelihood(model: LdfmModel, data) -> float:
+    """Sum over samples of the log unnormalized joint weight."""
+    xs = _as_sample_matrix(data, model.schema)
+    return sum(_map_chunks(partial(_chunk_loglik, model), xs, None))
 
 
 def _uniform_rows(schema: VariableSchema, variant: Variant) -> tuple[np.ndarray, np.ndarray]:
@@ -231,20 +240,6 @@ def _log_prior(model: LdfmModel, config: TrainConfig) -> float:
     return -config.kappa * total
 
 
-def data_log_likelihood(model: LdfmModel, data, workers: int | None = None) -> float:
-    """Sum over samples of the log unnormalized joint weight."""
-    xs = _as_sample_matrix(data, model.schema)
-    chunks = [xs[s : s + CHUNK] for s in range(0, xs.shape[0], CHUNK)]
-
-    def one(chunk: np.ndarray) -> float:
-        return float(matrix_tree.unnormalized_log_joint_many(model, chunk).sum())
-
-    if workers is not None and workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return sum(pool.map(one, chunks))
-    return sum(one(chunk) for chunk in chunks)
-
-
 def train_em(
     data,
     schema: VariableSchema,
@@ -284,5 +279,5 @@ def train_em(
                 break
         model = m_step(stats, config, schema)
     if not converged:
-        record(data_log_likelihood(model, xs, workers=workers))
+        record(sum(_map_chunks(partial(_chunk_loglik, model), xs, workers)))
     return model, trace

@@ -10,12 +10,11 @@ All determinant work happens in the log domain after column equilibration:
 each column of the minor is divided by its diagonal entry and the scale
 logs are added back, which keeps pivots near one even when raw weights are
 ~1/total-keys and the determinant would underflow a double.
+
+Every function works on a leading batch axis; pass ``w[None]`` for one graph.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -35,35 +34,6 @@ class NumericConsistencyError(ArithmeticError):
     """An edge posterior left [0, 1] by more than roundoff allows."""
 
 
-@dataclass(frozen=True)
-class AssignmentGraph:
-    """Dense (n+1) x (n+1) edge-weight matrix for one complete assignment.
-
-    Entry [i, j] is the weight of edge i -> j; row 0 belongs to the root.
-    Column 0 and the diagonal are structurally unused and held at zero.
-    """
-
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        w = np.array(self.weights, dtype=np.float64)
-        if w.ndim != 2 or w.shape[0] != w.shape[1] or w.shape[0] < 2:
-            raise ValueError(f"weights must be square with n >= 1, got shape {w.shape}")
-        w[:, 0] = 0.0
-        np.fill_diagonal(w, 0.0)
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-
-    @property
-    def n(self) -> int:
-        return self.weights.shape[0] - 1
-
-
-class LogPartition(NamedTuple):
-    log_z: float
-    sign: int
-
-
 def assignment_matrices(model: LdfmModel, xs: np.ndarray) -> np.ndarray:
     """Stacked (B, n+1, n+1) edge-weight matrices for complete assignments ``xs``."""
     schema = model.schema
@@ -77,38 +47,23 @@ def assignment_matrices(model: LdfmModel, xs: np.ndarray) -> np.ndarray:
         raise ValueError("assignment is incomplete")
     if np.any(xs < 0) or np.any(xs >= schema.cards[None, :]):
         raise ValueError("assignment value index out of range")
-    rows = np.concatenate(
-        [np.zeros((b, 1), dtype=np.int64), 1 + schema.offsets[None, :] + xs], axis=1
-    )
-    cols = schema.offsets[None, :] + xs
+    rows = schema.assignment_rows(xs)
     w = np.zeros((b, n + 1, n + 1), dtype=np.float64)
-    w[:, :, 1:] = model.dep[rows[:, :, None], cols[:, None, :]]
+    w[:, :, 1:] = model.dep[rows[:, :, None], rows[:, None, 1:] - 1]
     return w
 
 
-def assignment_graph(model: LdfmModel, x: np.ndarray) -> AssignmentGraph:
-    """The per-assignment graph view of ``model`` at complete assignment ``x``."""
-    return AssignmentGraph(assignment_matrices(model, np.asarray(x))[0])
-
-
-def build_laplacian(graph: AssignmentGraph) -> np.ndarray:
-    """Laplacian Q of the assignment graph: Q[j][j] is the incoming-weight
-    sum of node j and Q[i][j] = -weight[i][j]; row/column 0 carries only
-    zeros because the root has no incoming edges.  Only the 0-minor of Q is
-    consumed downstream."""
-    w = graph.weights
-    if np.any(w < 0):
-        raise ValueError("edge weights must be nonnegative")
-    q = -w.copy()
-    np.fill_diagonal(q, w.sum(axis=0))
-    return q
-
-
 def _root_minors(weights: np.ndarray) -> np.ndarray:
-    """Root minors (rows/cols 0 removed) of the Laplacians of stacked graphs."""
-    colsum = weights.sum(axis=-2)
-    q = -weights.copy()
-    idx = np.arange(weights.shape[-1])
+    """Root minors (rows/cols 0 removed) of the Laplacians of stacked graphs.
+
+    Q[j][j] is the incoming-weight sum of node j and Q[i][j] = -weight[i][j].
+    Column 0 and the diagonal of ``weights`` are not edges and are ignored.
+    """
+    w = weights.copy()
+    idx = np.arange(w.shape[-1])
+    w[..., idx, idx] = 0.0
+    colsum = w.sum(axis=-2)
+    q = -w
     q[..., idx, idx] = colsum
     return q[..., 1:, 1:]
 
@@ -150,12 +105,6 @@ def log_partition_many(
     raise SingularLaplacianError(
         f"no positive-weight spanning tree (batch item {bad})"
     )
-
-
-def log_partition(graph: AssignmentGraph) -> LogPartition:
-    """Log of the total weight of all spanning trees rooted at node 0."""
-    logz = log_partition_many(graph.weights[None])
-    return LogPartition(float(logz[0]), 1)
 
 
 def _posteriors_from_inverse(weights: np.ndarray, inv_q0: np.ndarray) -> np.ndarray:
@@ -208,28 +157,9 @@ def partition_and_posteriors_many(weights: np.ndarray) -> tuple[np.ndarray, np.n
     return logz, _posteriors_from_inverse(weights, inv_q0)
 
 
-def edge_posteriors(graph: AssignmentGraph) -> np.ndarray:
-    """Probability that each edge appears in the latent spanning tree.
-
-    Returns an (n+1) x (n+1) array; every column j >= 1 sums to one since
-    each non-root node has exactly one parent in every tree.
-    """
-    _, post = partition_and_posteriors_many(graph.weights[None])
-    return post[0]
-
-
 def stop_log_weight(model: LdfmModel, xs: np.ndarray) -> np.ndarray:
     """Sum of log stop weights over the root and every assigned node, per row."""
-    xs = np.asarray(xs, dtype=np.int64)
-    if xs.ndim == 1:
-        xs = xs[None, :]
-    rows = np.concatenate(
-        [
-            np.zeros((xs.shape[0], 1), dtype=np.int64),
-            1 + model.schema.offsets[None, :] + xs,
-        ],
-        axis=1,
-    )
+    rows = model.schema.assignment_rows(np.atleast_2d(xs))
     with np.errstate(divide="ignore"):
         log_stop = np.log(model.stop)
     return log_stop[rows].sum(axis=1)
@@ -248,7 +178,3 @@ def unnormalized_log_joint_many(
     if model.variant is Variant.STOP_AUGMENTED:
         return logz + stop_log_weight(model, xs)
     return logz
-
-
-def unnormalized_log_joint(model: LdfmModel, x: np.ndarray) -> float:
-    return float(unnormalized_log_joint_many(model, np.asarray(x))[0])

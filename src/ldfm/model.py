@@ -185,10 +185,18 @@ class VariableSchema:
         name, dom = self.variables[key.var]
         return f"{name}={dom[key.val]}"
 
+    def describe_row(self, row: int) -> str:
+        """Readable name of a source row (0 is the root)."""
+        row = int(row)
+        return "root" if row == 0 else self.describe_key(self.key_of_col(row - 1))
+
     def assignment_rows(self, x: np.ndarray) -> np.ndarray:
-        """Source-row indices [root, <X_1,x_1>, ..., <X_n,x_n>] of a complete assignment."""
+        """Source-row indices [root, <X_1,x_1>, ..., <X_n,x_n>] of complete
+        assignments: shape (n,) gives (n+1,), shape (B, n) gives (B, n+1)."""
         x = np.asarray(x)
-        return np.concatenate([[0], 1 + self.offsets + x])
+        rows = np.zeros(x.shape[:-1] + (x.shape[-1] + 1,), dtype=np.int64)
+        rows[..., 1:] = 1 + self.offsets + x
+        return rows
 
 
 @dataclass(frozen=True)
@@ -244,6 +252,26 @@ def make_uniform_model(schema: VariableSchema, variant: Variant = Variant.PLAIN)
     return LdfmModel(schema, Variant.STOP_AUGMENTED, dep, stop)
 
 
+def weight_violations(model: LdfmModel) -> list[str]:
+    """Defects no tolerance excuses: non-finite or negative weights, and a
+    nonzero weight for a same-variable target."""
+    schema = model.schema
+    tables = [("dep", model.dep)] + ([("stop", model.stop)] if model.stop is not None else [])
+    violations = [
+        f"{name} weights contain non-finite entries"
+        for name, t in tables
+        if not np.all(np.isfinite(t))
+    ]
+    if violations:
+        return violations
+    for row in np.unique(np.nonzero(~schema.source_mask & (model.dep != 0.0))[0]):
+        violations.append(f"{schema.describe_row(row)}: nonzero weight for a same-variable target")
+    for name, t in tables:
+        for row in np.unique(np.nonzero(t < 0.0)[0]):
+            violations.append(f"{schema.describe_row(row)}: {name} weight outside [0, 1]")
+    return violations
+
+
 def validate_model(model: LdfmModel, tol: float = 1e-9) -> list[str]:
     """Check weight ranges and per-source normalization; return violations.
 
@@ -252,41 +280,21 @@ def validate_model(model: LdfmModel, tol: float = 1e-9) -> list[str]:
     exempt from the normalization check.
     """
     schema = model.schema
-    mask = schema.source_mask
-    violations: list[str] = []
-
-    def key_name(row: int) -> str:
-        return "root" if row == 0 else schema.describe_key(schema.key_of_col(row - 1))
-
+    violations = weight_violations(model)
     dep = model.dep
-    if not np.all(np.isfinite(dep)):
-        violations.append("dep table contains non-finite entries")
-        return violations
-    bad_struct = np.nonzero(~mask & (dep != 0.0))
-    for row in np.unique(bad_struct[0]):
-        violations.append(f"{key_name(int(row))}: nonzero weight for a same-variable target")
-    lo = dep < -tol
-    hi = dep > 1.0 + tol
-    for row in np.unique(np.nonzero(lo | hi)[0]):
-        violations.append(f"{key_name(int(row))}: weight outside [0, 1]")
-
-    row_sums = dep.sum(axis=1)
+    for row in np.unique(np.nonzero(dep > 1.0 + tol)[0]):
+        violations.append(f"{schema.describe_row(row)}: dep weight outside [0, 1]")
+    totals = dep.sum(axis=1)
+    rows_to_check = np.nonzero(schema.target_counts > 0)[0]
     if model.variant is Variant.STOP_AUGMENTED:
-        stop = model.stop
-        if not np.all(np.isfinite(stop)):
-            violations.append("stop weights contain non-finite entries")
-            return violations
-        for row in np.unique(np.nonzero((stop < -tol) | (stop > 1.0 + tol))[0]):
-            violations.append(f"{key_name(int(row))}: stop weight outside [0, 1]")
-        totals = row_sums + stop
+        for row in np.nonzero(model.stop > 1.0 + tol)[0]:
+            violations.append(f"{schema.describe_row(row)}: stop weight outside [0, 1]")
+        totals = totals + model.stop
         rows_to_check = np.arange(dep.shape[0])
-    else:
-        totals = row_sums
-        rows_to_check = np.nonzero(schema.target_counts > 0)[0]
     off = np.abs(totals[rows_to_check] - 1.0) > tol
     for row in rows_to_check[off]:
         violations.append(
-            f"{key_name(int(row))}: outgoing weights sum to {totals[row]:.12g}, expected 1"
+            f"{schema.describe_row(row)}: outgoing weights sum to {totals[row]:.12g}, expected 1"
         )
     return violations
 

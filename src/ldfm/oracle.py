@@ -14,39 +14,12 @@ from typing import Iterator
 
 import numpy as np
 
-from .matrix_tree import AssignmentGraph, LogPartition, assignment_graph
+from .matrix_tree import assignment_matrices
 from .model import MISSING, LdfmModel, Variant
+from .sampling import is_rooted_tree, logsumexp
 
 MAX_TREE_N = 8
 MAX_STATE_SPACE = 4096
-
-
-def _logsumexp(values: np.ndarray) -> float:
-    values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
-        return -np.inf
-    m = values.max()
-    if not np.isfinite(m):
-        return float(m)
-    return float(np.log(np.exp(values - m).sum()) + m)
-
-
-def _reaches_root(parent: tuple[int, ...]) -> bool:
-    n = len(parent)
-    state = [0] * (n + 1)  # 0 unknown, 1 on current path, 2 known good
-    state[0] = 2
-    for start in range(1, n + 1):
-        path = []
-        j = start
-        while state[j] == 0:
-            path.append(j)
-            state[j] = 1
-            j = parent[j - 1]
-        if state[j] == 1:
-            return False
-        for p in path:
-            state[p] = 2
-    return True
 
 
 def enumerate_rooted_trees(n: int) -> Iterator[tuple[int, ...]]:
@@ -59,9 +32,10 @@ def enumerate_rooted_trees(n: int) -> Iterator[tuple[int, ...]]:
     if not 1 <= n <= MAX_TREE_N:
         raise ValueError(f"n must be in [1, {MAX_TREE_N}], got {n}")
     choices = [[p for p in range(n + 1) if p != j] for j in range(1, n + 1)]
-    for cand in itertools.product(*choices):
-        if _reaches_root(cand):
-            yield cand
+    # a leading placeholder gives is_rooted_tree's parents[j] indexing
+    for cand in itertools.product([-1], *choices):
+        if is_rooted_tree(cand):
+            yield cand[1:]
 
 
 @lru_cache(maxsize=None)
@@ -71,30 +45,35 @@ def _tree_table(n: int) -> np.ndarray:
     return table
 
 
-def _tree_log_weights(graph: AssignmentGraph) -> tuple[np.ndarray, np.ndarray]:
-    trees = _tree_table(graph.n)
+def _tree_log_weights(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    n = weights.shape[0] - 1
+    trees = _tree_table(n)
     with np.errstate(divide="ignore"):
-        logw = np.log(graph.weights)
-    cols = np.arange(1, graph.n + 1)
+        logw = np.log(weights)
+    cols = np.arange(1, n + 1)
     return trees, logw[trees, cols].sum(axis=1)
 
 
-def brute_log_partition(graph: AssignmentGraph) -> LogPartition:
-    """Log of the sum over all rooted spanning trees of the edge-weight product."""
-    _, tree_logw = _tree_log_weights(graph)
-    total = _logsumexp(tree_logw)
+def brute_log_partition(weights: np.ndarray) -> float:
+    """Log of the sum over all rooted spanning trees of the edge-weight product.
+
+    ``weights`` is one (n+1, n+1) edge-weight matrix; column 0 and the
+    diagonal are never read.
+    """
+    _, tree_logw = _tree_log_weights(weights)
+    total = logsumexp(tree_logw)
     if not np.isfinite(total):
         raise ValueError("all spanning trees have zero weight")
-    return LogPartition(total, 1)
+    return total
 
 
-def brute_edge_posteriors(graph: AssignmentGraph) -> np.ndarray:
+def brute_edge_posteriors(weights: np.ndarray) -> np.ndarray:
     """Edge posteriors by direct summation over enumerated trees."""
-    trees, tree_logw = _tree_log_weights(graph)
-    log_z = _logsumexp(tree_logw)
+    trees, tree_logw = _tree_log_weights(weights)
+    log_z = logsumexp(tree_logw)
     if not np.isfinite(log_z):
         raise ValueError("all spanning trees have zero weight")
-    n = graph.n
+    n = trees.shape[1]
     post = np.zeros((n + 1, n + 1))
     for j in range(1, n + 1):
         parents = trees[:, j - 1]
@@ -103,14 +82,13 @@ def brute_edge_posteriors(graph: AssignmentGraph) -> np.ndarray:
                 continue
             sel = tree_logw[parents == i]
             if sel.size:
-                post[i, j] = np.exp(_logsumexp(sel) - log_z)
+                post[i, j] = np.exp(logsumexp(sel) - log_z)
     return post
 
 
 def _log_joint_or_neginf(model: LdfmModel, x: np.ndarray) -> float:
-    graph = assignment_graph(model, x)
-    _, tree_logw = _tree_log_weights(graph)
-    total = _logsumexp(tree_logw)
+    _, tree_logw = _tree_log_weights(assignment_matrices(model, x)[0])
+    total = logsumexp(tree_logw)
     if model.variant is Variant.STOP_AUGMENTED:
         rows = model.schema.assignment_rows(np.asarray(x))
         with np.errstate(divide="ignore"):
@@ -151,7 +129,7 @@ def brute_valid_normalizer(model: LdfmModel) -> float:
     """Log sum of the unnormalized joint over every complete assignment."""
     _check_state_space(model)
     logs = [_log_joint_or_neginf(model, x) for x in _all_assignments(model)]
-    total = _logsumexp(np.array(logs))
+    total = logsumexp(np.array(logs))
     if not np.isfinite(total):
         raise ValueError("model assigns zero weight to every assignment")
     return total
@@ -187,8 +165,8 @@ def exact_conditional(
         den_logs.append(lj)
         if np.array_equal(x[q_mask], query[q_mask]):
             num_logs.append(lj)
-    den = _logsumexp(np.array(den_logs)) if den_logs else -np.inf
+    den = logsumexp(np.array(den_logs))
     if not np.isfinite(den):
         raise ValueError("evidence has zero probability under the model")
-    num = _logsumexp(np.array(num_logs)) if num_logs else -np.inf
+    num = logsumexp(np.array(num_logs))
     return float(np.exp(num - den))

@@ -20,7 +20,11 @@ from .matrix_tree import SingularLaplacianError
 from .model import MISSING, LdfmModel, Variant
 
 
-def _logsumexp(values: np.ndarray) -> float:
+def logsumexp(values: np.ndarray) -> float:
+    """log(sum(exp(values))), shifted by the maximum; -inf for no values."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.size == 0:
+        return -np.inf
     m = values.max()
     if not np.isfinite(m):
         return float(m)
@@ -30,20 +34,6 @@ def _logsumexp(values: np.ndarray) -> float:
 class SamplerKind(enum.Enum):
     GIBBS = "gibbs"
     TREE_AUGMENTED = "tree"
-
-
-class TreeProposal(enum.Enum):
-    """How the tree-augmented chain moves a (value, parent) pair.
-
-    FULL_CONDITIONAL resamples the pair from its exact conditional (the
-    incoming weight times the node's outgoing-edge and stop factors), so
-    every move is accepted.  INCOMING_ONLY proposes from the incoming
-    weight alone and applies the Metropolis-Hastings correction for the
-    neglected factors; the two leave the same distribution invariant.
-    """
-
-    FULL_CONDITIONAL = "full"
-    INCOMING_ONLY = "incoming-mh"
 
 
 @dataclass(frozen=True)
@@ -91,7 +81,6 @@ class SamplerConfig:
     thin: int = 1
     chains: int = 1
     seed: int = 0
-    tree_proposal: TreeProposal = TreeProposal.FULL_CONDITIONAL
 
     def __post_init__(self) -> None:
         if self.samples < 1 or self.thin < 1 or self.chains < 1:
@@ -108,8 +97,6 @@ class ChainState:
     pinned: np.ndarray
     rng: np.random.Generator
     parents: np.ndarray | None = None  # parents[j] for nodes 1..n; entry 0 unused
-    step: int = 0
-    tree_proposal: TreeProposal = TreeProposal.FULL_CONDITIONAL
 
 
 def random_parent_vector(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -122,16 +109,25 @@ def random_parent_vector(n: int, rng: np.random.Generator) -> np.ndarray:
     return parents
 
 
-def is_rooted_tree(parents: np.ndarray) -> bool:
+def is_rooted_tree(parents) -> bool:
+    """Whether parents[j] (nodes 1..n; entry 0 ignored) links every node to
+    root 0 without a cycle.  Each node's path is followed once, so O(n)."""
     n = len(parents) - 1
+    state = [0] * (n + 1)  # 0 unknown, 1 on current path, 2 reaches the root
+    state[0] = 2
     for start in range(1, n + 1):
-        seen = set()
+        path = []
         j = start
-        while j != 0:
-            if j in seen or not 1 <= j <= n:
-                return False
-            seen.add(j)
+        while state[j] == 0:
+            path.append(j)
+            state[j] = 1
             j = int(parents[j])
+            if not 0 <= j <= n:
+                return False
+        if state[j] == 1:
+            return False
+        for p in path:
+            state[p] = 2
     return True
 
 
@@ -168,7 +164,7 @@ def gibbs_sweep(model: LdfmModel, state: ChainState) -> ChainState:
         if state.pinned[var]:
             continue
         logp = _conditional_log_joint(model, state.values, var)
-        total = _logsumexp(logp)
+        total = logsumexp(logp)
         if not np.isfinite(total):
             raise SingularLaplacianError(
                 f"every value of variable {var} has zero conditional probability"
@@ -176,7 +172,6 @@ def gibbs_sweep(model: LdfmModel, state: ChainState) -> ChainState:
         p = np.exp(logp - total)
         p /= p.sum()
         state.values[var] = int(state.rng.choice(len(p), p=p))
-    state.step += 1
     return state
 
 
@@ -230,35 +225,17 @@ def tree_augmented_step(model: LdfmModel, state: ChainState) -> ChainState:
         if model.variant is Variant.STOP_AUGMENTED:
             val_logw = val_logw + np.log(model.stop[val_rows])
 
-    if state.tree_proposal is TreeProposal.FULL_CONDITIONAL:
-        logw = log_in + val_logw[:, None]
-        total = _logsumexp(logw.ravel())
-        if not np.isfinite(total):
-            raise SingularLaplacianError(
-                f"every (value, parent) candidate for variable {var} has zero weight"
-            )
-        p = np.exp(logw.ravel() - total)
-        p /= p.sum()
-        pick = int(state.rng.choice(len(p), p=p))
-        vi, pi = divmod(pick, len(cand_parents))
-        state.values[var] = int(vals[vi])
-        state.parents[node] = int(cand_parents[pi])
-    else:
-        total = _logsumexp(log_in.ravel())
-        if not np.isfinite(total):
-            raise SingularLaplacianError(
-                f"every (value, parent) candidate for variable {var} has zero weight"
-            )
-        p = np.exp(log_in.ravel() - total)
-        p /= p.sum()
-        pick = int(state.rng.choice(len(p), p=p))
-        vi, pi = divmod(pick, len(cand_parents))
-        cur_vi = int(np.nonzero(vals == state.values[var])[0][0])
-        log_accept = val_logw[vi] - val_logw[cur_vi]
-        if np.log(state.rng.random()) < log_accept:
-            state.values[var] = int(vals[vi])
-            state.parents[node] = int(cand_parents[pi])
-    state.step += 1
+    logw = (log_in + val_logw[:, None]).ravel()
+    total = logsumexp(logw)
+    if not np.isfinite(total):
+        raise SingularLaplacianError(
+            f"every (value, parent) candidate for variable {var} has zero weight"
+        )
+    p = np.exp(logw - total)
+    p /= p.sum()
+    vi, pi = divmod(int(state.rng.choice(len(p), p=p)), len(cand_parents))
+    state.values[var] = int(vals[vi])
+    state.parents[node] = int(cand_parents[pi])
     return state
 
 
@@ -291,7 +268,6 @@ def run_chain(
     row = 0
     for chain_rng in rng_mod.chain_rngs(seed if seed is not None else config.seed, config.chains):
         state = init_chain_state(model, instance, chain_rng, with_tree)
-        state.tree_proposal = config.tree_proposal
         for _ in range(burn_in):
             step(model, state)
         for _ in range(config.samples):

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from ldfm.matrix_tree import AssignmentGraph
 from ldfm.model import NodeKey, ROOT, LdfmModel, Variant, VariableSchema
 
 # Worked 2-node example used across modules: three spanning trees with
@@ -13,13 +12,13 @@ WORKED_W21 = 0.5
 WORKED_Z = 0.2 * 0.3 + 0.2 * 0.4 + 0.3 * 0.5
 
 
-def worked_graph() -> AssignmentGraph:
+def worked_graph() -> np.ndarray:
     w = np.zeros((3, 3))
     w[0, 1] = WORKED_W01
     w[0, 2] = WORKED_W02
     w[1, 2] = WORKED_W12
     w[2, 1] = WORKED_W21
-    return AssignmentGraph(w)
+    return w
 
 
 def model_from_weights(

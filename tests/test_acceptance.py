@@ -33,10 +33,9 @@ from ldfm.learning import (
     train_em,
 )
 from ldfm.matrix_tree import (
-    AssignmentGraph,
-    assignment_graph,
-    edge_posteriors,
-    log_partition,
+    assignment_matrices,
+    log_partition_many,
+    partition_and_posteriors_many,
 )
 from ldfm.model import (
     MISSING,
@@ -93,11 +92,10 @@ def test_criterion_1_matrix_tree_matches_enumeration():
         for _ in range(200):
             w = np.zeros((n + 1, n + 1))
             w[:, 1:] = rng.uniform(0.01, 1.0, size=(n + 1, n))
-            graph = AssignmentGraph(w)
-            fast = log_partition(graph).log_z
-            brute = brute_log_partition(graph).log_z
-            worst_logz = max(worst_logz, abs(fast - brute) / abs(brute))
-            diff = np.abs(edge_posteriors(graph) - brute_edge_posteriors(graph)).max()
+            fast, post = partition_and_posteriors_many(w[None])
+            brute = brute_log_partition(w)
+            worst_logz = max(worst_logz, abs(fast[0] - brute) / abs(brute))
+            diff = np.abs(post[0] - brute_edge_posteriors(w)).max()
             worst_post = max(worst_post, float(diff))
     elapsed = time.perf_counter() - t0
     ok = worst_logz <= 1e-9 and worst_post <= 1e-9 and elapsed < 30
@@ -110,9 +108,8 @@ def test_criterion_1_matrix_tree_matches_enumeration():
 
 
 def test_criterion_2_worked_example_exact():
-    graph = worked_graph()
-    log_z = log_partition(graph).log_z
-    post = edge_posteriors(graph)
+    log_z, post = partition_and_posteriors_many(worked_graph()[None])
+    log_z, post = float(log_z[0]), post[0]
     expected = {
         (0, 1): 0.14 / WORKED_Z,
         (0, 2): 0.21 / WORKED_Z,
@@ -167,7 +164,7 @@ def test_criterion_5_single_sample_m_step_equivalence():
         x = np.array([rng.integers(0, c) for c in schema.cards])
         stats = e_step(model, x[None, :])
         new = m_step(stats, TrainConfig(smoothing=Smoothing.NONE), schema)
-        post = brute_edge_posteriors(assignment_graph(model, x))
+        post = brute_edge_posteriors(assignment_matrices(model, x)[0])
         rows = schema.assignment_rows(x)
         for i in range(n + 1):
             out_mass = post[i, 1:].sum()
@@ -288,7 +285,7 @@ def test_criterion_8_pipeline_beats_independence_baseline(tmp_path):
     out = cli(
         "eval", "--model", str(model_path), "--data", str(test_csv),
         "--q-frac", "0.4", "--e-frac", "0.3", "--instances", "120",
-        "--sampler", "gibbs", "--samples", "500", "--seed", "83", "--workers", "4",
+        "--sampler", "gibbs", "--samples", "500", "--seed", "83",
     )
     mean_max = float(
         next(line for line in out.splitlines() if line.startswith("mean_max:")).split(":")[1]
@@ -316,12 +313,12 @@ def test_criterion_9_performance_smoke():
     rng = np.random.default_rng(1009)
     w = np.zeros((77, 77))
     w[:, 1:] = rng.uniform(0.01, 1.0, size=(77, 76))
-    graph = AssignmentGraph(w)
-    log_partition(graph)  # warm up
+    graph = w[None]
+    log_partition_many(graph)  # warm up
     times = []
     for _ in range(20):
         t0 = time.perf_counter()
-        log_partition(graph)
+        log_partition_many(graph)
         times.append(time.perf_counter() - t0)
     per_call = float(np.median(times))
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ldfm.cli import dispatch
-from ldfm.dataio import load_dataset, load_model, save_model
+from ldfm.dataio import _payload_checksum, load_dataset, load_model, save_model
 from ldfm.model import LdfmModel, Variant, VariableSchema, make_uniform_model
 
 
@@ -207,3 +207,21 @@ def test_impossible_evidence_exits_three(tmp_path, capsys):
             ]
         )
     assert code == 3
+
+
+def test_query_on_nan_model_exits_two(tmp_path, capsys):
+    schema = VariableSchema((("X1", ("T", "F")), ("X2", ("T", "F"))))
+    model_path = tmp_path / "m.model"
+    save_model(make_uniform_model(schema), model_path)
+    doc = json.loads(model_path.read_text())
+    doc["payload"]["weights"]["X1"]["T"]["X2"]["F"] = float("nan")
+    doc["checksum"] = _payload_checksum(doc["payload"])
+    model_path.write_text(json.dumps(doc))
+    code, out, err = run(
+        capsys,
+        "query", "--model", str(model_path), "--query", "X2=T", "--evidence", "X1=T",
+        "--sampler", "gibbs", "--samples", "50", "--seed", "1",
+    )
+    assert code == 2
+    assert out == ""
+    assert "non-finite" in err

@@ -16,6 +16,7 @@ from ldfm.dataio import (
     save_dataset,
     save_model,
     save_schema,
+    _payload_checksum,
 )
 from ldfm.model import NodeKey, ROOT, Variant, VariableSchema, make_uniform_model
 
@@ -229,3 +230,61 @@ def test_fixture_nets_shapes(n, cards):
 def test_fixture_net_unknown_size():
     with pytest.raises(ValueError):
         fixture_net(13)
+
+
+def rewrite_payload(path, edit) -> None:
+    """Apply ``edit`` to a saved model's payload and re-sign it, so only the
+    weight checks stand between the file and a loaded model."""
+    doc = json.loads(path.read_text())
+    edit(doc["payload"])
+    doc["checksum"] = _payload_checksum(doc["payload"])
+    write(path, json.dumps(doc))
+
+
+def saved_uniform(tmp_path, variant=Variant.PLAIN):
+    schema = VariableSchema((("A", ("T", "F")), ("B", ("T", "F"))))
+    p = tmp_path / "m.model"
+    save_model(make_uniform_model(schema, variant), p)
+    return p
+
+
+def test_model_nan_weight_rejected(tmp_path):
+    p = saved_uniform(tmp_path)
+    rewrite_payload(p, lambda pl: pl["weights"]["A"]["T"]["B"].update(F=float("nan")))
+    with pytest.raises(ModelFormatError, match="non-finite"):
+        load_model(p)
+
+
+def test_model_infinite_stop_weight_rejected(tmp_path):
+    p = saved_uniform(tmp_path, Variant.STOP_AUGMENTED)
+    rewrite_payload(p, lambda pl: pl["stop_weights"]["B"].update(T=float("inf")))
+    with pytest.raises(ModelFormatError, match="non-finite"):
+        load_model(p)
+
+
+def test_model_negative_weight_rejected(tmp_path):
+    p = saved_uniform(tmp_path)
+    rewrite_payload(p, lambda pl: pl["root_weights"]["A"].update(T=-0.25, F=0.75))
+    with pytest.raises(ModelFormatError, match="root"):
+        load_model(p)
+
+
+def test_model_same_variable_weight_rejected(tmp_path):
+    p = saved_uniform(tmp_path)
+    rewrite_payload(p, lambda pl: pl["weights"]["A"]["T"].update(A={"F": 0.1}))
+    with pytest.raises(ModelFormatError, match="same-variable"):
+        load_model(p)
+
+
+def test_model_missing_entry_rejected(tmp_path):
+    p = saved_uniform(tmp_path)
+    rewrite_payload(p, lambda pl: pl["weights"]["B"]["F"]["A"].pop("T"))
+    with pytest.raises(ModelFormatError, match="no weight for B=F -> A=T"):
+        load_model(p)
+
+
+def test_model_missing_stop_weight_rejected(tmp_path):
+    p = saved_uniform(tmp_path, Variant.STOP_AUGMENTED)
+    rewrite_payload(p, lambda pl: pl["stop_weights"]["A"].pop("F"))
+    with pytest.raises(ModelFormatError, match="no stop weight for A=F"):
+        load_model(p)

@@ -97,7 +97,7 @@ def test_evaluate_deterministic_given_seed():
     instances = make_query_instances(ds, 0.5, 0.0, 6, seed=10)
     config = SamplerConfig(sampler=SamplerKind.GIBBS, samples=100, seed=11, burn_in=10)
     a = evaluate(model, instances, config, 0.5, 0.0)
-    b = evaluate(model, instances, config, 0.5, 0.0, workers=4)
+    b = evaluate(model, instances, config, 0.5, 0.0)
     assert a.per_cll == b.per_cll
     assert a.per_cmll == b.per_cmll
     assert a.mean_max == b.mean_max
@@ -129,7 +129,7 @@ def test_trained_model_beats_baseline_on_dependent_data():
     )
     instances = make_query_instances(test, 0.4, 0.3, 40, seed=16)
     config = SamplerConfig(sampler=SamplerKind.TREE_AUGMENTED, samples=500, seed=17)
-    model_report = evaluate(model, instances, config, 0.4, 0.3, workers=4)
+    model_report = evaluate(model, instances, config, 0.4, 0.3)
     baseline_report = evaluate_baseline(
         fit_independence_baseline(train), instances, 0.4, 0.3
     )

@@ -12,7 +12,7 @@ from ldfm.learning import (
     m_step,
     train_em,
 )
-from ldfm.matrix_tree import SingularLaplacianError, assignment_graph
+from ldfm.matrix_tree import SingularLaplacianError, assignment_matrices
 from ldfm.model import (
     NodeKey,
     ROOT,
@@ -144,7 +144,7 @@ def test_m_step_matches_brute_posterior_renormalization():
         stats = e_step(model, x[None, :])
         new = m_step(stats, none_config(), schema)
 
-        post = brute_edge_posteriors(assignment_graph(model, x))
+        post = brute_edge_posteriors(assignment_matrices(model, x)[0])
         rows = schema.assignment_rows(x)
         for i in range(schema.n + 1):
             out_mass = post[i, 1:].sum()
@@ -165,7 +165,7 @@ def test_m_step_stop_variant_expected_stop_counts(two_binary_schema):
     stats = e_step(model, x[None, :])
     new = m_step(stats, none_config(variant=Variant.STOP_AUGMENTED), s)
     # each occurring key stops once per sample: stop = 1 / (1 + outgoing mass)
-    post = brute_edge_posteriors(assignment_graph(model, x))
+    post = brute_edge_posteriors(assignment_matrices(model, x)[0])
     rows = s.assignment_rows(x)
     for i in range(3):
         out_mass = post[i, 1:].sum()

@@ -6,14 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldfm.matrix_tree import (
-    AssignmentGraph,
     SingularLaplacianError,
-    assignment_graph,
-    build_laplacian,
-    edge_posteriors,
-    log_partition,
+    _root_minors,
+    assignment_matrices,
     log_partition_many,
-    unnormalized_log_joint,
+    partition_and_posteriors_many,
+    unnormalized_log_joint_many,
 )
 from ldfm.model import Variant, VariableSchema, make_uniform_model
 from ldfm.oracle import brute_edge_posteriors, brute_log_partition
@@ -21,29 +19,27 @@ from ldfm.oracle import brute_edge_posteriors, brute_log_partition
 from conftest import WORKED_Z, worked_graph
 
 
-def random_graph(rng: np.random.Generator, n: int) -> AssignmentGraph:
+def random_graph(rng: np.random.Generator, n: int) -> np.ndarray:
     w = np.zeros((n + 1, n + 1))
     w[:, 1:] = rng.uniform(0.01, 1.0, size=(n + 1, n))
-    return AssignmentGraph(w)
+    return w
 
 
 def test_laplacian_worked_example():
-    q = build_laplacian(worked_graph())
-    np.testing.assert_allclose(q[1:, 1:], [[0.7, -0.4], [-0.5, 0.7]], atol=1e-15)
-    assert q[0, 0] == 0.0
-    np.testing.assert_array_equal(q[:, 0], 0.0)
+    q0 = _root_minors(worked_graph()[None])[0]
+    np.testing.assert_allclose(q0, [[0.7, -0.4], [-0.5, 0.7]], atol=1e-15)
 
 
 def test_laplacian_single_node():
     w = np.zeros((2, 2))
     w[0, 1] = 0.37
-    q = build_laplacian(AssignmentGraph(w))
-    np.testing.assert_allclose(q[1:, 1:], [[0.37]])
+    q0 = _root_minors(w[None])[0]
+    np.testing.assert_allclose(q0, [[0.37]])
 
 
 def test_laplacian_all_zero_weights_gives_zero_minor():
-    q = build_laplacian(AssignmentGraph(np.zeros((4, 4))))
-    np.testing.assert_array_equal(q, 0.0)
+    q0 = _root_minors(np.zeros((1, 4, 4)))
+    np.testing.assert_array_equal(q0, 0.0)
 
 
 def test_laplacian_rejects_negative_weights():
@@ -51,24 +47,23 @@ def test_laplacian_rejects_negative_weights():
     w[0, 1] = -0.1
     w[0, 2] = 0.2
     with pytest.raises(ValueError):
-        build_laplacian(AssignmentGraph(w))
+        log_partition_many(w[None])
 
 
 def test_log_partition_worked_example():
-    lp = log_partition(worked_graph())
-    assert lp.sign == 1
-    assert lp.log_z == pytest.approx(math.log(WORKED_Z), rel=1e-12)
+    lz = log_partition_many(worked_graph()[None])[0]
+    assert lz == pytest.approx(math.log(WORKED_Z), rel=1e-12)
 
 
 def test_log_partition_single_node():
     w = np.zeros((2, 2))
     w[0, 1] = 0.7
-    assert log_partition(AssignmentGraph(w)).log_z == pytest.approx(math.log(0.7))
+    assert log_partition_many(w[None])[0] == pytest.approx(math.log(0.7))
 
 
 def test_log_partition_all_zero_is_singular():
     with pytest.raises(SingularLaplacianError):
-        log_partition(AssignmentGraph(np.zeros((3, 3))))
+        log_partition_many(np.zeros((1, 3, 3)))
 
 
 def test_log_partition_unreachable_root_is_singular():
@@ -76,11 +71,11 @@ def test_log_partition_unreachable_root_is_singular():
     w[1, 2] = 0.4
     w[2, 1] = 0.5
     with pytest.raises(SingularLaplacianError):
-        log_partition(AssignmentGraph(w))
+        log_partition_many(w[None])
 
 
 def test_log_partition_many_neginf_mode():
-    good = worked_graph().weights
+    good = worked_graph()
     bad = np.zeros((3, 3))
     out = log_partition_many(np.stack([good, bad]), on_singular="neginf")
     assert out[0] == pytest.approx(math.log(WORKED_Z))
@@ -88,7 +83,8 @@ def test_log_partition_many_neginf_mode():
 
 
 def test_edge_posteriors_worked_example():
-    post = edge_posteriors(worked_graph())
+    _, post = partition_and_posteriors_many(worked_graph()[None])
+    post = post[0]
     assert post[0, 1] == pytest.approx(0.14 / WORKED_Z, rel=1e-12)
     assert post[0, 2] == pytest.approx(0.21 / WORKED_Z, rel=1e-12)
     assert post[1, 2] == pytest.approx(0.08 / WORKED_Z, rel=1e-12)
@@ -98,26 +94,24 @@ def test_edge_posteriors_worked_example():
 def test_edge_posteriors_single_node():
     w = np.zeros((2, 2))
     w[0, 1] = 0.123
-    assert edge_posteriors(AssignmentGraph(w))[0, 1] == pytest.approx(1.0)
+    assert partition_and_posteriors_many(w[None])[1][0, 0, 1] == pytest.approx(1.0)
 
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 100_000), n=st.integers(2, 5))
 def test_matches_enumeration_on_random_graphs(seed, n):
     graph = random_graph(np.random.default_rng(seed), n)
-    fast = log_partition(graph).log_z
-    brute = brute_log_partition(graph).log_z
-    assert fast == pytest.approx(brute, rel=1e-9)
-    np.testing.assert_allclose(
-        edge_posteriors(graph), brute_edge_posteriors(graph), atol=1e-9
-    )
+    fast, post = partition_and_posteriors_many(graph[None])
+    brute = brute_log_partition(graph)
+    assert fast[0] == pytest.approx(brute, rel=1e-9)
+    np.testing.assert_allclose(post[0], brute_edge_posteriors(graph), atol=1e-9)
 
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 100_000), n=st.integers(2, 5))
 def test_posterior_columns_are_stochastic(seed, n):
     graph = random_graph(np.random.default_rng(seed), n)
-    post = edge_posteriors(graph)
+    post = partition_and_posteriors_many(graph[None])[1][0]
     np.testing.assert_allclose(post[:, 1:].sum(axis=0), 1.0, atol=1e-9)
     assert post.min() >= 0.0 and post.max() <= 1.0
 
@@ -126,13 +120,15 @@ def test_posterior_columns_are_stochastic(seed, n):
 @given(seed=st.integers(0, 100_000), n=st.integers(2, 5), scale=st.floats(0.01, 50))
 def test_scaling_all_weights_shifts_log_partition(seed, n, scale):
     graph = random_graph(np.random.default_rng(seed), n)
-    scaled = AssignmentGraph(graph.weights * scale)
-    base = log_partition(graph).log_z
-    assert log_partition(scaled).log_z == pytest.approx(
+    scaled = graph * scale
+    base = log_partition_many(graph[None])[0]
+    assert log_partition_many(scaled[None])[0] == pytest.approx(
         base + n * math.log(scale), rel=1e-9, abs=1e-9
     )
     np.testing.assert_allclose(
-        edge_posteriors(scaled), edge_posteriors(graph), atol=1e-9
+        partition_and_posteriors_many(scaled[None])[1][0],
+        partition_and_posteriors_many(graph[None])[1][0],
+        atol=1e-9,
     )
 
 
@@ -145,43 +141,43 @@ def test_increasing_a_weight_increases_its_posterior(seed, n):
     j = int(rng.integers(1, n + 1))
     while j == i:
         j = int(rng.integers(1, n + 1))
-    before = edge_posteriors(graph)[i, j]
-    bumped = graph.weights.copy()
+    before = partition_and_posteriors_many(graph[None])[1][0, i, j]
+    bumped = graph.copy()
     bumped[i, j] *= 1.5
-    after = edge_posteriors(AssignmentGraph(bumped))[i, j]
+    after = partition_and_posteriors_many(bumped[None])[1][0, i, j]
     assert after > before
 
 
 def test_assignment_graph_pulls_model_weights(two_binary_schema):
     model = make_uniform_model(two_binary_schema)
-    graph = assignment_graph(model, np.array([0, 1]))
-    assert graph.weights[0, 1] == pytest.approx(0.25)
-    assert graph.weights[0, 2] == pytest.approx(0.25)
-    assert graph.weights[1, 2] == pytest.approx(0.5)
-    assert graph.weights[2, 1] == pytest.approx(0.5)
-    np.testing.assert_array_equal(graph.weights[:, 0], 0.0)
-    assert graph.weights.diagonal().sum() == 0.0
+    w = assignment_matrices(model, np.array([0, 1]))[0]
+    assert w[0, 1] == pytest.approx(0.25)
+    assert w[0, 2] == pytest.approx(0.25)
+    assert w[1, 2] == pytest.approx(0.5)
+    assert w[2, 1] == pytest.approx(0.5)
+    np.testing.assert_array_equal(w[:, 0], 0.0)
+    assert w.diagonal().sum() == 0.0
 
 
 def test_assignment_graph_rejects_incomplete_assignment(two_binary_schema):
     model = make_uniform_model(two_binary_schema)
     with pytest.raises(ValueError):
-        assignment_graph(model, np.array([0, -1]))
+        assignment_matrices(model, np.array([0, -1]))
 
 
 def test_log_joint_matches_partition_for_plain(two_binary_schema):
     model = make_uniform_model(two_binary_schema)
     x = np.array([1, 0])
-    lj = unnormalized_log_joint(model, x)
-    lp = log_partition(assignment_graph(model, x)).log_z
+    lj = unnormalized_log_joint_many(model, x)[0]
+    lp = log_partition_many(assignment_matrices(model, x))[0]
     assert lj == pytest.approx(lp, rel=1e-12)
 
 
 def test_log_joint_stop_variant_adds_stop_terms(two_binary_schema):
     model = make_uniform_model(two_binary_schema, Variant.STOP_AUGMENTED)
     x = np.array([1, 0])
-    lj = unnormalized_log_joint(model, x)
-    lp = log_partition(assignment_graph(model, x)).log_z
+    lj = unnormalized_log_joint_many(model, x)[0]
+    lp = log_partition_many(assignment_matrices(model, x))[0]
     rows = two_binary_schema.assignment_rows(x)
     assert lj == pytest.approx(lp + np.log(model.stop[rows]).sum(), rel=1e-12)
 
@@ -193,9 +189,51 @@ def test_large_graph_underflow_resistance():
     n = 76
     base = random_graph(rng, n)
     scale = 1e-7
-    tiny = AssignmentGraph(base.weights * scale)
-    lz_base = log_partition(base).log_z
-    lz_tiny = log_partition(tiny).log_z
-    assert math.exp(lz_tiny) == 0.0  # not representable in the linear domain
-    assert lz_tiny == pytest.approx(lz_base + n * math.log(scale), rel=1e-12)
-    np.testing.assert_allclose(edge_posteriors(tiny), edge_posteriors(base), atol=1e-9)
+    tiny = base * scale
+    lz_base, post_base = partition_and_posteriors_many(base[None])
+    lz_tiny, post_tiny = partition_and_posteriors_many(tiny[None])
+    assert math.exp(lz_tiny[0]) == 0.0  # not representable in the linear domain
+    assert lz_tiny[0] == pytest.approx(lz_base[0] + n * math.log(scale), rel=1e-12)
+    np.testing.assert_allclose(post_tiny[0], post_base[0], atol=1e-9)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 100_000), n=st.integers(1, 6), batch=st.integers(2, 5))
+def test_stacked_items_match_single_calls(seed, n, batch):
+    rng = np.random.default_rng(seed)
+    stack = np.stack([random_graph(rng, n) for _ in range(batch)])
+    logz, post = partition_and_posteriors_many(stack)
+    np.testing.assert_allclose(log_partition_many(stack), logz, rtol=1e-13, atol=0)
+    for b in range(batch):
+        one_logz, one_post = partition_and_posteriors_many(stack[b][None])
+        assert logz[b] == pytest.approx(one_logz[0], rel=1e-13, abs=0)
+        np.testing.assert_allclose(post[b], one_post[0], rtol=1e-12, atol=1e-15)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 100_000), n=st.integers(2, 6))
+def test_relabelling_nodes_permutes_posteriors(seed, n):
+    rng = np.random.default_rng(seed)
+    w = random_graph(rng, n)
+    # node k of the relabelled graph is node perm[k] of the original; root stays 0
+    perm = np.concatenate([[0], 1 + rng.permutation(n)])
+    relabelled = w[np.ix_(perm, perm)]
+    logz, post = partition_and_posteriors_many(np.stack([w, relabelled]))
+    assert logz[1] == pytest.approx(logz[0], rel=1e-12)
+    np.testing.assert_allclose(post[1], post[0][np.ix_(perm, perm)], atol=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 100_000), n=st.integers(1, 6))
+def test_column_zero_and_diagonal_are_ignored(seed, n):
+    rng = np.random.default_rng(seed)
+    w = random_graph(rng, n)
+    np.fill_diagonal(w, 0.0)
+    noisy = w.copy()
+    noisy[:, 0] = rng.uniform(0.01, 5.0, size=n + 1)
+    np.fill_diagonal(noisy, rng.uniform(0.01, 5.0, size=n + 1))
+    logz, post = partition_and_posteriors_many(w[None])
+    noisy_logz, noisy_post = partition_and_posteriors_many(noisy[None])
+    np.testing.assert_array_equal(noisy_logz, logz)
+    np.testing.assert_array_equal(log_partition_many(noisy[None]), logz)
+    np.testing.assert_array_equal(noisy_post, post)

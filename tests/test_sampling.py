@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from ldfm.learning import Smoothing, TrainConfig, train_em
-from ldfm.matrix_tree import SingularLaplacianError, assignment_graph, edge_posteriors
+from ldfm.matrix_tree import (
+    SingularLaplacianError,
+    assignment_matrices,
+    partition_and_posteriors_many,
+)
 from ldfm.model import MISSING, NodeKey, ROOT, Variant, VariableSchema, make_uniform_model
 from ldfm.oracle import exact_conditional
 from ldfm.rng import make_rng
@@ -13,7 +17,6 @@ from ldfm.sampling import (
     QueryInstance,
     SamplerConfig,
     SamplerKind,
-    TreeProposal,
     estimate_cll,
     estimate_cmll,
     gibbs_sweep,
@@ -163,27 +166,8 @@ def test_tree_step_pinned_values_matches_edge_posteriors():
         for j in range(1, 4):
             counts[state.parents[j], j] += 1
     freq = counts / steps
-    exact = edge_posteriors(assignment_graph(model, x))
+    exact = partition_and_posteriors_many(assignment_matrices(model, x))[1][0]
     assert np.abs(freq[:, 1:] - exact[:, 1:]).max() < 0.02
-
-
-def test_incoming_only_proposal_reaches_same_distribution():
-    rng = np.random.default_rng(13)
-    schema = VariableSchema(tuple((f"X{i}", ("a", "b")) for i in range(2)))
-    model = random_model(rng, schema)
-    inst = instance_all_hidden(2)
-    config = SamplerConfig(
-        sampler=SamplerKind.TREE_AUGMENTED,
-        samples=30000,
-        seed=21,
-        tree_proposal=TreeProposal.INCOMING_ONLY,
-    )
-    samples = run_chain(model, inst, config)
-    for a in range(2):
-        for b in range(2):
-            emp = float(np.mean((samples[:, 0] == a) & (samples[:, 1] == b)))
-            exact = exact_conditional(model, np.array([a, b]), np.full(2, MISSING))
-            assert emp == pytest.approx(exact, abs=0.03)
 
 
 def test_run_chain_bookkeeping(two_binary_schema):
