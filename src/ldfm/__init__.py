@@ -66,7 +66,6 @@ from .oracle import (
     exact_conditional,
 )
 from .sampling import (
-    ChainState,
     QueryInstance,
     SamplerConfig,
     SamplerKind,
@@ -74,11 +73,11 @@ from .sampling import (
     estimate_cmll,
     gibbs_sweep,
     run_chain,
+    run_chains,
     tree_augmented_step,
 )
 
 __all__ = [
-    "ChainState",
     "Dataset",
     "DatasetFormatError",
     "EvalReport",
@@ -127,6 +126,7 @@ __all__ = [
     "make_uniform_model",
     "partition_and_posteriors_many",
     "run_chain",
+    "run_chains",
     "save_dataset",
     "save_model",
     "save_schema",

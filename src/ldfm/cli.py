@@ -37,7 +37,7 @@ from .matrix_tree import (
 )
 from .model import MISSING, Variant
 from .oracle import brute_edge_posteriors, brute_log_partition
-from .rng import make_rng
+from .rng import chain_rngs, make_rng
 
 CHECK_TOL = 1e-9
 
@@ -112,6 +112,7 @@ def _build_parser() -> _Parser:
     sample.add_argument("--thin", type=int, default=1)
     sample.add_argument("--chains", type=int, default=1)
     sample.add_argument("--seed", type=int, required=True)
+    sample.set_defaults(sampler="tree")
 
     gen = sub.add_parser("gen-data", help="sample a dataset from a built-in network")
     gen.add_argument("--n", type=int, required=True, choices=[8, 11, 20])
@@ -220,20 +221,10 @@ def _cmd_query(args) -> int:
 def _cmd_sample(args) -> int:
     model = load_model(args.model)
     schema = model.schema
-    config = sampling.SamplerConfig(
-        sampler=sampling.SamplerKind.TREE_AUGMENTED,
-        burn_in=args.burn_in,
-        samples=args.samples,
-        thin=args.thin,
-        chains=args.chains,
-        seed=args.seed,
-    )
-    # unconditional draw: no evidence, one nominal query variable
-    query = np.full(schema.n, MISSING, dtype=np.int64)
-    query[0] = 0
-    instance = sampling.QueryInstance(query=query, evidence=np.full(schema.n, MISSING, dtype=np.int64))
-    rows = sampling.run_chain(model, instance, config)
-    save_dataset(Dataset(schema, rows), args.out)
+    config = _sampler_config(args)
+    evidence = np.full((args.chains, schema.n), MISSING, dtype=np.int64)
+    draws = sampling.run_chains(model, evidence, config, chain_rngs(args.seed, args.chains))
+    save_dataset(Dataset(schema, draws.reshape(-1, schema.n)), args.out)
     return 0
 
 

@@ -17,8 +17,8 @@ import numpy as np
 
 from .dataio import Dataset
 from .model import MISSING, LdfmModel, VariableSchema
-from .rng import make_rng
-from .sampling import QueryInstance, SamplerConfig, estimate_cll, estimate_cmll, run_chain
+from .rng import chain_rngs, make_rng
+from .sampling import QueryInstance, SamplerConfig, estimate_cll, estimate_cmll, run_chains
 
 REPORT_FIELDS = (
     "instances",
@@ -30,6 +30,10 @@ REPORT_FIELDS = (
     "seconds_train",
     "seconds_infer",
 )
+
+# Chains per engine call in ``evaluate``: caps draw memory at
+# EVAL_BLOCK * samples * n int64 values however many instances there are.
+EVAL_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -95,15 +99,24 @@ def evaluate(
     """Sample each instance and aggregate normalized CLL/CMLL/max metrics.
 
     Each instance gets its own chain seeds derived from (config.seed, index),
-    so reports are deterministic and instances stay independent.
+    so reports are deterministic and instances stay independent.  Instances
+    run in blocks of at most EVAL_BLOCK chains (at least one instance).
     """
     cards = model.schema.cards
+    chains = config.chains
+    per_block = max(1, EVAL_BLOCK // chains)
     t0 = time.perf_counter()
     per_cll, per_cmll = [], []
-    for idx, instance in enumerate(instances):
-        samples = run_chain(model, instance, config, seed=[config.seed, idx])
-        per_cll.append(estimate_cll(samples, instance, normalize=True))
-        per_cmll.append(estimate_cmll(samples, instance, cards, normalize=True))
+    for first in range(0, len(instances), per_block):
+        block = instances[first : first + per_block]
+        evidence = np.repeat([inst.evidence for inst in block], chains, axis=0)
+        indices = range(first, first + len(block))
+        rngs = [r for idx in indices for r in chain_rngs([config.seed, idx], chains)]
+        draws = run_chains(model, evidence, config, rngs)
+        for instance, samples in zip(block, draws.reshape(len(block), -1, len(cards))):
+            per_cll.append(estimate_cll(samples, instance, normalize=True))
+            per_cmll.append(estimate_cmll(samples, instance, cards, normalize=True))
+        del draws, samples  # free this block's draws before the next block allocates its own
     seconds_infer = time.perf_counter() - t0
 
     per_max = tuple(max(a, b) for a, b in zip(per_cll, per_cmll))

@@ -122,11 +122,9 @@ def _chunk_stats(model: LdfmModel, xs: np.ndarray, start: int) -> SufficientStat
     try:
         logz, post = matrix_tree.partition_and_posteriors_many(weights)
     except matrix_tree.SingularLaplacianError as exc:
-        # recompute per sample to report the global index
-        ok = np.isfinite(matrix_tree.log_partition_many(weights, on_singular="neginf"))
-        bad = int(np.nonzero(~ok)[0][0]) + start
+        bad = start + exc.index
         raise matrix_tree.SingularLaplacianError(
-            f"sample {bad} has no positive-weight spanning tree"
+            f"sample {bad} has no positive-weight spanning tree", index=bad
         ) from exc
 
     rows = schema.assignment_rows(xs)

@@ -27,7 +27,14 @@ CLAMP_SILENT = 1e-9
 
 
 class SingularLaplacianError(ArithmeticError):
-    """No spanning tree carries positive weight (zero-probability assignment)."""
+    """No spanning tree carries positive weight (zero-probability assignment).
+
+    ``index`` is the offending batch item when a batched call raised it.
+    """
+
+    def __init__(self, message: str, index: int | None = None) -> None:
+        super().__init__(message)
+        self.index = index
 
 
 class NumericConsistencyError(ArithmeticError):
@@ -68,11 +75,13 @@ def _root_minors(weights: np.ndarray) -> np.ndarray:
     return q[..., 1:, 1:]
 
 
-def _log_det_scaled(q0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _log_det_scaled(q0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Column-equilibrated log-determinants of stacked root minors.
 
-    Returns (log_det, ok) where ok is False wherever the determinant is
-    nonpositive, non-finite, or a diagonal entry vanishes.
+    Returns (log_det, ok, scaled, scale): ok is False wherever the
+    determinant is nonpositive, non-finite, or a diagonal entry vanishes;
+    ``scaled`` is q0 with each column divided by ``scale``, its diagonal
+    entry (1 where that entry vanishes).
     """
     idx = np.arange(q0.shape[-1])
     diag = q0[..., idx, idx]
@@ -83,7 +92,15 @@ def _log_det_scaled(q0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(divide="ignore"):
         log_scale = np.where(ok, np.log(safe).sum(axis=-1), -np.inf)
     ok = ok & (sign > 0) & np.isfinite(logdet)
-    return logdet + log_scale, ok
+    return logdet + log_scale, ok, scaled, safe
+
+
+def _require_ok(ok: np.ndarray) -> None:
+    if not np.all(ok):
+        bad = int(np.nonzero(~ok)[0][0])
+        raise SingularLaplacianError(
+            f"no positive-weight spanning tree (batch item {bad})", index=bad
+        )
 
 
 def log_partition_many(
@@ -96,15 +113,11 @@ def log_partition_many(
     """
     if np.any(weights < 0):
         raise ValueError("edge weights must be nonnegative")
-    logz, ok = _log_det_scaled(_root_minors(weights))
-    if np.all(ok):
-        return logz
+    logz, ok, _, _ = _log_det_scaled(_root_minors(weights))
     if on_singular == "neginf":
         return np.where(ok, logz, -np.inf)
-    bad = int(np.nonzero(~ok)[0][0])
-    raise SingularLaplacianError(
-        f"no positive-weight spanning tree (batch item {bad})"
-    )
+    _require_ok(ok)
+    return logz
 
 
 def _posteriors_from_inverse(weights: np.ndarray, inv_q0: np.ndarray) -> np.ndarray:
@@ -127,7 +140,8 @@ def _posteriors_from_inverse(weights: np.ndarray, inv_q0: np.ndarray) -> np.ndar
 
     lo = post.min()
     hi = post.max()
-    if lo < -CLAMP_SILENT or hi > 1.0 + CLAMP_SILENT:
+    # written so that a NaN (which fails every comparison) fails the check
+    if not (lo >= -CLAMP_SILENT and hi <= 1.0 + CLAMP_SILENT):
         raise NumericConsistencyError(
             f"edge posterior outside [0, 1] beyond roundoff (min {lo:.3e}, max {hi:.3e})"
         )
@@ -143,17 +157,9 @@ def partition_and_posteriors_many(weights: np.ndarray) -> tuple[np.ndarray, np.n
     """
     if np.any(weights < 0):
         raise ValueError("edge weights must be nonnegative")
-    q0 = _root_minors(weights)
-    logz, ok = _log_det_scaled(q0)
-    if not np.all(ok):
-        bad = int(np.nonzero(~ok)[0][0])
-        raise SingularLaplacianError(
-            f"no positive-weight spanning tree (batch item {bad})"
-        )
-    idx = np.arange(q0.shape[-1])
-    diag = q0[..., idx, idx]
-    inv_scaled = np.linalg.inv(q0 / diag[..., None, :])
-    inv_q0 = inv_scaled / diag[..., :, None]
+    logz, ok, scaled, scale = _log_det_scaled(_root_minors(weights))
+    _require_ok(ok)
+    inv_q0 = np.linalg.inv(scaled) / scale[..., :, None]
     return logz, _posteriors_from_inverse(weights, inv_q0)
 
 

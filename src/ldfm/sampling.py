@@ -5,7 +5,9 @@ unnormalized joint, costing one determinant per candidate value.  The
 tree-augmented chain keeps the latent spanning tree as an auxiliary
 variable and resamples one node's (value, parent) pair per step in O(n),
 excluding the node's own subtree as parents so the tree stays acyclic.
-Query probabilities are estimated from the recorded value vectors alone.
+``run_chains`` advances many chains as one (C, n) state, each chain on its
+own random stream.  Query probabilities are estimated from the recorded
+value vectors alone.
 """
 
 from __future__ import annotations
@@ -89,16 +91,6 @@ class SamplerConfig:
             raise ValueError("burn_in must be nonnegative")
 
 
-@dataclass
-class ChainState:
-    """One chain's mutable state; evidence coordinates never change."""
-
-    values: np.ndarray
-    pinned: np.ndarray
-    rng: np.random.Generator
-    parents: np.ndarray | None = None  # parents[j] for nodes 1..n; entry 0 unused
-
-
 def random_parent_vector(n: int, rng: np.random.Generator) -> np.ndarray:
     """A random valid rooted parent vector: attach nodes in random order."""
     parents = np.full(n + 1, -1, dtype=np.int64)
@@ -131,48 +123,41 @@ def is_rooted_tree(parents) -> bool:
     return True
 
 
-def init_chain_state(
-    model: LdfmModel,
-    instance: QueryInstance,
-    rng: np.random.Generator,
-    with_tree: bool,
-) -> ChainState:
-    schema = model.schema
-    if instance.query.shape != (schema.n,):
-        raise ValueError("instance does not match the model schema")
-    pinned = instance.evidence != MISSING
-    values = np.where(
-        pinned,
-        instance.evidence,
-        rng.integers(0, schema.cards, size=schema.n),
-    ).astype(np.int64)
-    parents = random_parent_vector(schema.n, rng) if with_tree else None
-    return ChainState(values=values, pinned=pinned, rng=rng, parents=parents)
+def _draw(logw: np.ndarray, rng: np.random.Generator, error: str) -> int:
+    """Index drawn with probability proportional to exp(logw).
+
+    Raises SingularLaplacianError(error) when every weight is zero.
+    """
+    total = logsumexp(logw)
+    if not np.isfinite(total):
+        raise SingularLaplacianError(error)
+    p = np.exp(logw - total)
+    p /= p.sum()
+    return int(rng.choice(len(p), p=p))
 
 
-def _conditional_log_joint(model: LdfmModel, values: np.ndarray, var: int) -> np.ndarray:
-    """Log unnormalized joint for each candidate value of one variable."""
-    card = int(model.schema.cards[var])
-    candidates = np.tile(values, (card, 1))
-    candidates[:, var] = np.arange(card)
-    return matrix_tree.unnormalized_log_joint_many(model, candidates, on_singular="neginf")
+def gibbs_sweep(
+    model: LdfmModel, values: np.ndarray, pinned: np.ndarray, parents: None, rngs: list
+) -> None:
+    """Resample every non-evidence variable of every chain in turn, in place.
 
-
-def gibbs_sweep(model: LdfmModel, state: ChainState) -> ChainState:
-    """Resample every non-evidence variable in turn from its full conditional."""
+    ``values`` and ``pinned`` are (C, n); chain c draws from ``rngs[c]``.
+    Each variable costs one batched log-joint call over the candidate
+    values of every chain where it is free.  ``parents`` is unused.
+    """
     for var in range(model.schema.n):
-        if state.pinned[var]:
+        free = np.nonzero(~pinned[:, var])[0]
+        if free.size == 0:
             continue
-        logp = _conditional_log_joint(model, state.values, var)
-        total = logsumexp(logp)
-        if not np.isfinite(total):
-            raise SingularLaplacianError(
-                f"every value of variable {var} has zero conditional probability"
-            )
-        p = np.exp(logp - total)
-        p /= p.sum()
-        state.values[var] = int(state.rng.choice(len(p), p=p))
-    return state
+        card = int(model.schema.cards[var])
+        candidates = np.repeat(values[free], card, axis=0)
+        candidates[:, var] = np.tile(np.arange(card), free.size)
+        logp = matrix_tree.unnormalized_log_joint_many(
+            model, candidates, on_singular="neginf"
+        ).reshape(free.size, card)
+        error = f"every value of variable {var} has zero conditional probability"
+        for row, c in enumerate(free):
+            values[c, var] = _draw(logp[row], rngs[c], error)
 
 
 def _subtree_nodes(parents: np.ndarray, node: int) -> np.ndarray:
@@ -190,57 +175,83 @@ def _subtree_nodes(parents: np.ndarray, node: int) -> np.ndarray:
     return np.array(out, dtype=np.int64)
 
 
-def tree_augmented_step(model: LdfmModel, state: ChainState) -> ChainState:
-    """Resample one node's (value, parent) pair on the augmented space.
+def tree_augmented_step(
+    model: LdfmModel, values: np.ndarray, pinned: np.ndarray, parents: np.ndarray, rngs: list
+) -> None:
+    """Resample one node's (value, parent) pair per chain, in place.
 
-    Candidate parents are every node outside the picked node's subtree, so
-    the parent vector stays a rooted tree; evidence variables keep their
-    value and only move their parent.
+    ``parents`` is (C, n+1) with parents[c, j] for nodes 1..n (entry 0
+    unused).  Candidate parents are every node outside the picked node's
+    subtree, so each parent vector stays a rooted tree; evidence variables
+    keep their value and only move their parent.
     """
-    if state.parents is None:
-        raise ValueError("tree-augmented step requires a parent vector in the state")
     schema = model.schema
     n = schema.n
-    node = int(state.rng.integers(1, n + 1))
-    var = node - 1
+    for c, rng in enumerate(rngs):
+        vals_c, par_c = values[c], parents[c]
+        node = int(rng.integers(1, n + 1))
+        var = node - 1
 
-    blocked = np.zeros(n + 1, dtype=bool)
-    blocked[_subtree_nodes(state.parents, node)] = True
-    cand_parents = np.nonzero(~blocked)[0]
+        blocked = np.zeros(n + 1, dtype=bool)
+        blocked[_subtree_nodes(par_c, node)] = True
+        cand_parents = np.nonzero(~blocked)[0]
 
-    rows_all = schema.assignment_rows(state.values)
-    if state.pinned[var]:
-        vals = np.array([state.values[var]], dtype=np.int64)
-    else:
-        vals = np.arange(schema.cards[var], dtype=np.int64)
-    val_cols = schema.offsets[var] + vals
-    val_rows = 1 + val_cols
+        rows_all = schema.assignment_rows(vals_c)
+        if pinned[c, var]:
+            vals = np.array([vals_c[var]], dtype=np.int64)
+        else:
+            vals = np.arange(schema.cards[var], dtype=np.int64)
+        val_cols = schema.offsets[var] + vals
+        val_rows = 1 + val_cols
 
-    children = np.nonzero(state.parents == node)[0]
-    child_cols = schema.offsets[children - 1] + state.values[children - 1]
-    with np.errstate(divide="ignore"):
-        # (value, parent) grid of log incoming weight, plus value-only terms
-        log_in = np.log(model.dep[rows_all[cand_parents]][:, val_cols]).T
-        val_logw = np.log(model.dep[val_rows][:, child_cols]).sum(axis=1)
-        if model.variant is Variant.STOP_AUGMENTED:
-            val_logw = val_logw + np.log(model.stop[val_rows])
+        children = np.nonzero(par_c == node)[0]
+        child_cols = schema.offsets[children - 1] + vals_c[children - 1]
+        with np.errstate(divide="ignore"):
+            # (value, parent) grid of log incoming weight, plus value-only terms
+            log_in = np.log(model.dep[rows_all[cand_parents]][:, val_cols]).T
+            val_logw = np.log(model.dep[val_rows][:, child_cols]).sum(axis=1)
+            if model.variant is Variant.STOP_AUGMENTED:
+                val_logw = val_logw + np.log(model.stop[val_rows])
 
-    logw = (log_in + val_logw[:, None]).ravel()
-    total = logsumexp(logw)
-    if not np.isfinite(total):
-        raise SingularLaplacianError(
-            f"every (value, parent) candidate for variable {var} has zero weight"
-        )
-    p = np.exp(logw - total)
-    p /= p.sum()
-    vi, pi = divmod(int(state.rng.choice(len(p), p=p)), len(cand_parents))
-    state.values[var] = int(vals[vi])
-    state.parents[node] = int(cand_parents[pi])
-    return state
+        logw = (log_in + val_logw[:, None]).ravel()
+        error = f"every (value, parent) candidate for variable {var} has zero weight"
+        vi, pi = divmod(_draw(logw, rng, error), len(cand_parents))
+        vals_c[var] = int(vals[vi])
+        par_c[node] = int(cand_parents[pi])
 
 
-def _default_burn_in(sampler: SamplerKind, n: int) -> int:
-    return 10 * n if sampler is SamplerKind.GIBBS else 100 * n
+def run_chains(
+    model: LdfmModel,
+    evidence: np.ndarray,
+    config: SamplerConfig,
+    rngs: list[np.random.Generator],
+) -> np.ndarray:
+    """(C, samples, n) draws of one chain per row of the (C, n) ``evidence``.
+
+    Chain c draws only from ``rngs[c]``, so its draws do not depend on which
+    chains share the call.  Each chain burns in, then records every
+    ``thin``-th state; ``config.chains`` is not read.
+    """
+    n = model.schema.n
+    evidence = np.asarray(evidence, dtype=np.int64)
+    if evidence.ndim != 2 or evidence.shape[1] != n:
+        raise ValueError("instance does not match the model schema")
+    gibbs = config.sampler is SamplerKind.GIBBS
+    burn_in = config.burn_in if config.burn_in is not None else (10 if gibbs else 100) * n
+
+    pinned = evidence != MISSING
+    values = np.where(pinned, evidence, [r.integers(0, model.schema.cards, size=n) for r in rngs])
+    parents = None if gibbs else np.array([random_parent_vector(n, r) for r in rngs])
+    step = gibbs_sweep if gibbs else tree_augmented_step
+
+    draws = np.empty((len(rngs), config.samples, n), dtype=np.int64)
+    for _ in range(burn_in):
+        step(model, values, pinned, parents, rngs)
+    for s in range(config.samples):
+        for _ in range(config.thin):
+            step(model, values, pinned, parents, rngs)
+        draws[:, s] = values
+    return draws
 
 
 def run_chain(
@@ -251,31 +262,11 @@ def run_chain(
 ) -> np.ndarray:
     """Pooled value-vector samples from ``config.chains`` independent chains.
 
-    Each chain burns in, then records every ``thin``-th state's values;
-    the returned array has chains * samples rows in chain order.
+    The returned array has chains * samples rows in chain order.
     """
-    schema = model.schema
-    n = schema.n
-    burn_in = (
-        config.burn_in
-        if config.burn_in is not None
-        else _default_burn_in(config.sampler, n)
-    )
-    with_tree = config.sampler is SamplerKind.TREE_AUGMENTED
-    step = gibbs_sweep if config.sampler is SamplerKind.GIBBS else tree_augmented_step
-
-    pooled = np.empty((config.chains * config.samples, n), dtype=np.int64)
-    row = 0
-    for chain_rng in rng_mod.chain_rngs(seed if seed is not None else config.seed, config.chains):
-        state = init_chain_state(model, instance, chain_rng, with_tree)
-        for _ in range(burn_in):
-            step(model, state)
-        for _ in range(config.samples):
-            for _ in range(config.thin):
-                step(model, state)
-            pooled[row] = state.values
-            row += 1
-    return pooled
+    evidence = np.tile(instance.evidence, (config.chains, 1))
+    rngs = rng_mod.chain_rngs(seed if seed is not None else config.seed, config.chains)
+    return run_chains(model, evidence, config, rngs).reshape(-1, model.schema.n)
 
 
 def estimate_cll(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -156,6 +157,50 @@ def test_sample_writes_dataset(tmp_path, capsys):
     assert code == 0
     ds = load_dataset(out_path)
     assert len(ds) == 40
+
+
+# Seeded outputs of the one-chain-at-a-time sampler (numpy 2.4 with OpenBLAS
+# 0.3.31); running every chain of a block together must reproduce them byte
+# for byte.  Another LAPACK build may round a log joint differently and flip
+# a Gibbs draw.
+PINNED_EVAL = {
+    ("gibbs", "plain", "1"): ("-0.084925", "-0.097284", "-0.084844"),
+    ("gibbs", "stop", "3"): ("-0.080272", "-0.084745", "-0.079853"),
+    ("tree", "plain", "2"): ("-0.080451", "-0.090893", "-0.080040"),
+    ("tree", "stop", "2"): ("-0.065517", "-0.071979", "-0.065306"),
+}
+PINNED_SAMPLE_SHA256 = "912022e01f10f40777f7d46bb4c082a71ed1b02d833a54feb5a7bde7fd4480d6"
+
+
+def test_seeded_eval_and_sample_outputs_are_pinned(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    run(capsys, "gen-data", "--n", "8", "--samples", "120", "--seed", "8", "--out", str(data))
+    for variant in ("plain", "stop"):
+        run(
+            capsys, "train", "--data", str(data), "--out", str(tmp_path / f"{variant}.model"),
+            "--iters", "2", "--variant", variant,
+        )
+    for (sampler, variant, chains), (cll, cmll, mx) in PINNED_EVAL.items():
+        code, out, _ = run(
+            capsys,
+            "eval", "--model", str(tmp_path / f"{variant}.model"), "--data", str(data),
+            "--instances", "5", "--sampler", sampler, "--samples", "40", "--burn-in", "10",
+            "--thin", "2", "--chains", chains, "--seed", "12",
+        )
+        assert code == 0
+        kept = "".join(line for line in out.splitlines(True) if not line.startswith("seconds_"))
+        assert kept == (
+            "instances: 5\nq_frac: 0.4\ne_frac: 0.3\n"
+            f"mean_cll: {cll}\nmean_cmll: {cmll}\nmean_max: {mx}\n"
+        ), (sampler, variant, chains)
+    out_path = tmp_path / "samples.csv"
+    code, _, _ = run(
+        capsys,
+        "sample", "--model", str(tmp_path / "stop.model"), "--samples", "40",
+        "--chains", "3", "--thin", "2", "--seed", "13", "--out", str(out_path),
+    )
+    assert code == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == PINNED_SAMPLE_SHA256
 
 
 def test_log_level_env_var_silences_progress(tmp_path, capsys, monkeypatch):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ldfm import evaluation
 from ldfm.dataio import Dataset, fixture_net, forward_sample
 from ldfm.evaluation import (
     EvalReport,
@@ -15,7 +16,7 @@ from ldfm.evaluation import (
 )
 from ldfm.learning import Smoothing, TrainConfig, train_em
 from ldfm.model import VariableSchema, make_uniform_model
-from ldfm.sampling import SamplerConfig, SamplerKind
+from ldfm.sampling import SamplerConfig, SamplerKind, estimate_cll, estimate_cmll, run_chain
 
 
 def toy_dataset(n_vars=10, rows=20, seed=0, card=2):
@@ -101,6 +102,26 @@ def test_evaluate_deterministic_given_seed():
     assert a.per_cll == b.per_cll
     assert a.per_cmll == b.per_cmll
     assert a.mean_max == b.mean_max
+
+
+@pytest.mark.parametrize("kind", list(SamplerKind))
+def test_evaluate_matches_per_instance_chains(kind, monkeypatch):
+    # evaluate batches instances; each must still see run_chain's draws
+    # under seed [config.seed, idx], whatever block it lands in
+    net = fixture_net(8)
+    model, _ = train_em(
+        forward_sample(net, 200, seed=20).rows, net.schema, TrainConfig(max_iters=2)
+    )
+    instances = make_query_instances(forward_sample(net, 20, seed=21), 0.4, 0.3, 7, seed=22)
+    config = SamplerConfig(sampler=kind, samples=25, thin=2, chains=2, burn_in=8, seed=23)
+    monkeypatch.setattr(evaluation, "EVAL_BLOCK", 5)  # two instances per block
+    report = evaluate(model, instances, config, 0.4, 0.3)
+    for idx, inst in enumerate(instances):
+        samples = run_chain(model, inst, config, seed=[config.seed, idx])
+        assert report.per_cll[idx] == estimate_cll(samples, inst, normalize=True)
+        assert report.per_cmll[idx] == estimate_cmll(
+            samples, inst, model.schema.cards, normalize=True
+        )
 
 
 def test_baseline_closed_form_matches_marginals():

@@ -93,6 +93,20 @@ def test_e_step_reports_singular_sample_index(two_binary_schema):
         e_step(model, np.array([[0, 0], [1, 1]]))
 
 
+def test_e_step_singular_index_counts_from_the_whole_dataset(two_binary_schema):
+    s = two_binary_schema
+    x1t, x2t = NodeKey(0, 0), NodeKey(1, 0)
+    model = model_from_weights(
+        s,
+        {(ROOT, x1t): 0.5, (ROOT, x2t): 0.5, (x1t, x2t): 1.0, (x2t, x1t): 1.0},
+    )
+    data = np.zeros((300, 2), dtype=np.int64)
+    data[270] = [1, 1]  # in the second chunk of CHUNK = 256 rows
+    with pytest.raises(SingularLaplacianError, match="sample 270 ") as info:
+        e_step(model, data)
+    assert info.value.index == 270
+
+
 def test_e_step_workers_do_not_change_results(worked_model):
     rng = np.random.default_rng(5)
     data = rng.integers(0, 2, size=(1000, 2))

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldfm.matrix_tree import (
+    NumericConsistencyError,
     SingularLaplacianError,
+    _posteriors_from_inverse,
     _root_minors,
     assignment_matrices,
     log_partition_many,
@@ -89,6 +91,13 @@ def test_edge_posteriors_worked_example():
     assert post[0, 2] == pytest.approx(0.21 / WORKED_Z, rel=1e-12)
     assert post[1, 2] == pytest.approx(0.08 / WORKED_Z, rel=1e-12)
     assert post[2, 1] == pytest.approx(0.15 / WORKED_Z, rel=1e-12)
+
+
+def test_posterior_check_rejects_nan():
+    inv = np.linalg.inv(_root_minors(worked_graph()[None]))
+    inv[0, 1, 0] = np.nan
+    with pytest.raises(NumericConsistencyError):
+        _posteriors_from_inverse(worked_graph()[None], inv)
 
 
 def test_edge_posteriors_single_node():

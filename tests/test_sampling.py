@@ -13,17 +13,16 @@ from ldfm.model import MISSING, NodeKey, ROOT, Variant, VariableSchema, make_uni
 from ldfm.oracle import exact_conditional
 from ldfm.rng import make_rng
 from ldfm.sampling import (
-    ChainState,
     QueryInstance,
     SamplerConfig,
     SamplerKind,
     estimate_cll,
     estimate_cmll,
     gibbs_sweep,
-    init_chain_state,
     is_rooted_tree,
     random_parent_vector,
     run_chain,
+    run_chains,
     tree_augmented_step,
 )
 
@@ -94,13 +93,9 @@ def test_gibbs_uniform_model_is_symmetric(two_binary_schema):
 
 def test_gibbs_sweep_is_identity_when_all_pinned(two_binary_schema):
     model = make_uniform_model(two_binary_schema)
-    state = ChainState(
-        values=np.array([1, 0]),
-        pinned=np.array([True, True]),
-        rng=make_rng(0),
-    )
-    gibbs_sweep(model, state)
-    np.testing.assert_array_equal(state.values, [1, 0])
+    values = np.array([[1, 0]])
+    gibbs_sweep(model, values, np.array([[True, True]]), None, [make_rng(0)])
+    np.testing.assert_array_equal(values, [[1, 0]])
 
 
 def test_gibbs_raises_when_every_value_is_impossible(two_binary_schema):
@@ -110,26 +105,24 @@ def test_gibbs_raises_when_every_value_is_impossible(two_binary_schema):
     model = model_from_weights(
         s, {(ROOT, x1t): 0.5, (ROOT, x2t): 0.5, (x1t, x2t): 1.0, (x2t, x1t): 1.0}
     )
-    state = ChainState(
-        values=np.array([1, 1]),
-        pinned=np.array([False, True]),
-        rng=make_rng(0),
-    )
+    values = np.array([[1, 1]])
     with pytest.raises(SingularLaplacianError):
-        gibbs_sweep(model, state)
+        gibbs_sweep(model, values, np.array([[False, True]]), None, [make_rng(0)])
 
 
 def test_tree_step_single_variable_keeps_root_parent():
     schema = VariableSchema((("A", ("a", "b")),))
     rng = np.random.default_rng(2)
     model = random_model(rng, schema)
-    inst = instance_all_hidden(1)
-    state = init_chain_state(model, inst, make_rng(4), with_tree=True)
+    chain_rng = make_rng(4)
+    values = chain_rng.integers(0, schema.cards, size=(1, 1))
+    parents = random_parent_vector(1, chain_rng)[None]
+    pinned = np.zeros((1, 1), dtype=bool)
     counts = np.zeros(2)
     for _ in range(3000):
-        tree_augmented_step(model, state)
-        counts[state.values[0]] += 1
-    assert state.parents[1] == 0
+        tree_augmented_step(model, values, pinned, parents, [chain_rng])
+        counts[values[0, 0]] += 1
+    assert parents[0, 1] == 0
     exact = exact_conditional(model, np.array([0]), np.full(1, MISSING))
     assert counts[0] / counts.sum() == pytest.approx(exact, abs=0.03)
 
@@ -138,11 +131,13 @@ def test_tree_step_preserves_tree_validity():
     rng = np.random.default_rng(3)
     schema = VariableSchema(tuple((f"X{i}", ("a", "b")) for i in range(5)))
     model = random_model(rng, schema)
-    inst = instance_all_hidden(5)
-    state = init_chain_state(model, inst, make_rng(6), with_tree=True)
+    chain_rng = make_rng(6)
+    values = chain_rng.integers(0, schema.cards, size=(1, 5))
+    parents = random_parent_vector(5, chain_rng)[None]
+    pinned = np.zeros((1, 5), dtype=bool)
     for _ in range(500):
-        tree_augmented_step(model, state)
-        assert is_rooted_tree(state.parents)
+        tree_augmented_step(model, values, pinned, parents, [chain_rng])
+        assert is_rooted_tree(parents[0])
 
 
 def test_tree_step_pinned_values_matches_edge_posteriors():
@@ -150,21 +145,16 @@ def test_tree_step_pinned_values_matches_edge_posteriors():
     schema = VariableSchema(tuple((f"X{i}", ("a", "b")) for i in range(3)))
     model = random_model(rng, schema)
     x = np.array([0, 1, 0])
-    inst = QueryInstance(
-        query=np.array([0, MISSING, MISSING]), evidence=np.full(3, MISSING)
-    )
-    state = ChainState(
-        values=x.copy(),
-        pinned=np.array([True, True, True]),
-        rng=make_rng(11),
-        parents=random_parent_vector(3, make_rng(12)),
-    )
+    values = x[None].copy()
+    pinned = np.ones((1, 3), dtype=bool)
+    parents = random_parent_vector(3, make_rng(12))[None]
+    chain_rng = make_rng(11)
     counts = np.zeros((4, 4))
     steps = 30000
     for _ in range(steps):
-        tree_augmented_step(model, state)
+        tree_augmented_step(model, values, pinned, parents, [chain_rng])
         for j in range(1, 4):
-            counts[state.parents[j], j] += 1
+            counts[parents[0, j], j] += 1
     freq = counts / steps
     exact = partition_and_posteriors_many(assignment_matrices(model, x))[1][0]
     assert np.abs(freq[:, 1:] - exact[:, 1:]).max() < 0.02
@@ -203,6 +193,27 @@ def test_run_chain_evidence_never_moves():
             model, inst, SamplerConfig(sampler=kind, samples=200, seed=3, burn_in=20)
         )
         assert np.all(samples[:, 1] == 2)
+
+
+@pytest.mark.parametrize("kind", list(SamplerKind))
+def test_chain_draws_do_not_depend_on_batch_mates(kind):
+    rng = np.random.default_rng(37)
+    schema = VariableSchema(tuple((f"X{i}", ("a", "b", "c")) for i in range(4)))
+    model = random_model(rng, schema)
+    a = np.array([MISSING, 2, MISSING, MISSING])
+    b = np.array([0, MISSING, MISSING, 1])
+    config = SamplerConfig(sampler=kind, samples=30, thin=2, burn_in=10)
+    alone = run_chains(model, a[None], config, [make_rng([5, 0])])
+    paired = run_chains(model, np.stack([a, b]), config, [make_rng([5, 0]), make_rng([5, 1])])
+    assert alone.shape == (1, 30, 4)
+    np.testing.assert_array_equal(alone[0], paired[0])
+    assert np.all(paired[1][:, [0, 3]] == [0, 1])
+
+
+def test_run_chains_rejects_schema_mismatch(two_binary_schema):
+    model = make_uniform_model(two_binary_schema)
+    with pytest.raises(ValueError, match="schema"):
+        run_chains(model, np.full((1, 3), MISSING), SamplerConfig(), [make_rng(0)])
 
 
 def test_estimate_cll_counts(two_binary_schema):
