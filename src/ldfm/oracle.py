@@ -16,10 +16,21 @@ import numpy as np
 
 from .matrix_tree import assignment_matrices
 from .model import MISSING, LdfmModel, Variant
-from .sampling import is_rooted_tree, logsumexp
+from .sampling import is_rooted_tree
 
 MAX_TREE_N = 8
 MAX_STATE_SPACE = 4096
+
+
+def logsumexp(values: np.ndarray) -> float:
+    """log(sum(exp(values))), shifted by the maximum; -inf for no values."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.size == 0:
+        return -np.inf
+    m = values.max()
+    if not np.isfinite(m):
+        return float(m)
+    return float(np.log(np.exp(values - m).sum()) + m)
 
 
 def enumerate_rooted_trees(n: int) -> Iterator[tuple[int, ...]]:

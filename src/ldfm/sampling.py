@@ -3,34 +3,26 @@
 Gibbs resamples one variable at a time from the conditional implied by the
 unnormalized joint, costing one determinant per candidate value.  The
 tree-augmented chain keeps the latent spanning tree as an auxiliary
-variable and resamples one node's (value, parent) pair per step in O(n),
-excluding the node's own subtree as parents so the tree stays acyclic.
+variable and resamples one node's (value, parent) pair per step, excluding
+the node's own subtree as parents so the tree stays acyclic.
 ``run_chains`` advances many chains as one (C, n) state, each chain on its
-own random stream.  Query probabilities are estimated from the recorded
-value vectors alone.
+own random stream: a Gibbs variable or a tree step is one batched set of
+array operations over all chains, and every chain draws through one batched
+``_draw_rows``.  Query probabilities are estimated from the recorded value
+vectors alone.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import matrix_tree, rng as rng_mod
 from .matrix_tree import SingularLaplacianError
 from .model import MISSING, LdfmModel, Variant
-
-
-def logsumexp(values: np.ndarray) -> float:
-    """log(sum(exp(values))), shifted by the maximum; -inf for no values."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
-        return -np.inf
-    m = values.max()
-    if not np.isfinite(m):
-        return float(m)
-    return float(np.log(np.exp(values - m).sum()) + m)
 
 
 class SamplerKind(enum.Enum):
@@ -123,17 +115,28 @@ def is_rooted_tree(parents) -> bool:
     return True
 
 
-def _draw(logw: np.ndarray, rng: np.random.Generator, error: str) -> int:
-    """Index drawn with probability proportional to exp(logw).
+def _draw_rows(logw: np.ndarray, rngs: list, error: Callable[[int], str]) -> np.ndarray:
+    """One index per row of the (R, k) ``logw``, drawn with probability
+    proportional to exp(row) from ``rngs[row]``.
 
-    Raises SingularLaplacianError(error) when every weight is zero.
+    Each row consumes one ``random()`` double and yields the index that
+    ``rngs[row].choice(k, p=p)`` would for the row's normalised weights p:
+    the CDF is normalised as ``choice`` does and searched on the right.
+    Raises SingularLaplacianError(error(row)) for the first row whose
+    weights are all zero.
     """
-    total = logsumexp(logw)
-    if not np.isfinite(total):
-        raise SingularLaplacianError(error)
+    m = logw.max(axis=1, keepdims=True)
+    with np.errstate(invalid="ignore"):
+        total = np.log(np.exp(logw - m).sum(axis=1, keepdims=True)) + m
+    bad = ~np.isfinite(total[:, 0])
+    if bad.any():
+        raise SingularLaplacianError(error(int(np.argmax(bad))))
     p = np.exp(logw - total)
-    p /= p.sum()
-    return int(rng.choice(len(p), p=p))
+    p /= p.sum(axis=1, keepdims=True)
+    cdf = p.cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    u = np.array([rng.random() for rng in rngs])
+    return (cdf <= u[:, None]).sum(axis=1)
 
 
 def gibbs_sweep(
@@ -156,68 +159,67 @@ def gibbs_sweep(
             model, candidates, on_singular="neginf"
         ).reshape(free.size, card)
         error = f"every value of variable {var} has zero conditional probability"
-        for row, c in enumerate(free):
-            values[c, var] = _draw(logp[row], rngs[c], error)
-
-
-def _subtree_nodes(parents: np.ndarray, node: int) -> np.ndarray:
-    """Nodes of the subtree rooted at ``node`` (itself included)."""
-    n = len(parents) - 1
-    children: list[list[int]] = [[] for _ in range(n + 1)]
-    for j in range(1, n + 1):
-        children[int(parents[j])].append(j)
-    out = []
-    stack = [node]
-    while stack:
-        j = stack.pop()
-        out.append(j)
-        stack.extend(children[j])
-    return np.array(out, dtype=np.int64)
+        values[free, var] = _draw_rows(logp, [rngs[c] for c in free], lambda row: error)
 
 
 def tree_augmented_step(
     model: LdfmModel, values: np.ndarray, pinned: np.ndarray, parents: np.ndarray, rngs: list
 ) -> None:
-    """Resample one node's (value, parent) pair per chain, in place.
+    """Resample one random node's (value, parent) pair in every chain, in place.
 
     ``parents`` is (C, n+1) with parents[c, j] for nodes 1..n (entry 0
     unused).  Candidate parents are every node outside the picked node's
     subtree, so each parent vector stays a rooted tree; evidence variables
-    keep their value and only move their parent.
+    keep their value and only move their parent.  All chains share one
+    (C, K, n+1) grid of log weights over (value, parent), K the largest
+    domain, with -inf on the cells a chain may not pick.
     """
     schema = model.schema
     n = schema.n
-    for c, rng in enumerate(rngs):
-        vals_c, par_c = values[c], parents[c]
-        node = int(rng.integers(1, n + 1))
-        var = node - 1
+    chains = np.arange(len(rngs))
+    nodes = np.array([rng.integers(1, n + 1) for rng in rngs])
+    var = nodes - 1
 
-        blocked = np.zeros(n + 1, dtype=bool)
-        blocked[_subtree_nodes(par_c, node)] = True
-        cand_parents = np.nonzero(~blocked)[0]
+    # subtree of each picked node: every node whose ancestor path meets it,
+    # found by chasing a flat parent index at most n times
+    width = n + 1
+    base = chains[:, None] * width
+    up = parents + base
+    up[:, 0] = base[:, 0]  # a root is its own parent
+    up = up.ravel()
+    anc = np.arange(up.size)
+    target = (nodes + base[:, 0]).repeat(width)
+    blocked = anc == target
+    for _ in range(n - 1):
+        anc = up[anc]
+        blocked |= anc == target
+    blocked = blocked.reshape(-1, width)
 
-        rows_all = schema.assignment_rows(vals_c)
-        if pinned[c, var]:
-            vals = np.array([vals_c[var]], dtype=np.int64)
-        else:
-            vals = np.arange(schema.cards[var], dtype=np.int64)
-        val_cols = schema.offsets[var] + vals
-        val_rows = 1 + val_cols
+    card = schema.cards[var][:, None]
+    grid = np.arange(int(schema.cards.max()))[None, :]
+    own = values[chains, var][:, None]
+    allowed = np.where(pinned[chains, var][:, None], grid == own, grid < card)
+    val_cols = schema.offsets[var][:, None] + np.minimum(grid, card - 1)
+    val_rows = 1 + val_cols
+    rows_all = schema.assignment_rows(values)
+    is_child = parents[:, None, 1:] == nodes[:, None, None]
+    child_cols = (schema.offsets + values)[:, None, :]
+    with np.errstate(divide="ignore"):
+        # (value, parent) grid of log incoming weight, plus value-only terms
+        log_in = np.log(model.dep[rows_all[:, None, :], val_cols[:, :, None]])
+        child_logw = np.log(model.dep[val_rows[:, :, None], child_cols])
+        val_logw = np.where(is_child, child_logw, 0.0).sum(axis=2)
+        if model.variant is Variant.STOP_AUGMENTED:
+            val_logw = val_logw + np.log(model.stop[val_rows])
 
-        children = np.nonzero(par_c == node)[0]
-        child_cols = schema.offsets[children - 1] + vals_c[children - 1]
-        with np.errstate(divide="ignore"):
-            # (value, parent) grid of log incoming weight, plus value-only terms
-            log_in = np.log(model.dep[rows_all[cand_parents]][:, val_cols]).T
-            val_logw = np.log(model.dep[val_rows][:, child_cols]).sum(axis=1)
-            if model.variant is Variant.STOP_AUGMENTED:
-                val_logw = val_logw + np.log(model.stop[val_rows])
-
-        logw = (log_in + val_logw[:, None]).ravel()
-        error = f"every (value, parent) candidate for variable {var} has zero weight"
-        vi, pi = divmod(_draw(logw, rng, error), len(cand_parents))
-        vals_c[var] = int(vals[vi])
-        par_c[node] = int(cand_parents[pi])
+    open_cells = allowed[:, :, None] & ~blocked[:, None, :]
+    logw = np.where(open_cells, log_in + val_logw[:, :, None], -np.inf)
+    picked = _draw_rows(
+        logw.reshape(len(rngs), -1),
+        rngs,
+        lambda row: f"every (value, parent) candidate for variable {var[row]} has zero weight",
+    )
+    values[chains, var], parents[chains, nodes] = np.divmod(picked, width)
 
 
 def run_chains(

@@ -170,6 +170,11 @@ PINNED_EVAL = {
     ("tree", "stop", "2"): ("-0.065517", "-0.071979", "-0.065306"),
 }
 PINNED_SAMPLE_SHA256 = "912022e01f10f40777f7d46bb4c082a71ed1b02d833a54feb5a7bde7fd4480d6"
+# The same pins on the mixed-cardinality (2-6 values) n=20 network, the one
+# built-in network where a value grid padded to the largest domain has cells
+# outside some variable's domain.
+PINNED_EVAL_N20 = ("-0.550840", "-0.760937", "-0.550840")
+PINNED_SAMPLE_N20_SHA256 = "5fd04695d0a93192b4f77b4e586dcd36265077509ba516db57ac6d12fc4e9c8d"
 
 
 def test_seeded_eval_and_sample_outputs_are_pinned(tmp_path, capsys):
@@ -201,6 +206,33 @@ def test_seeded_eval_and_sample_outputs_are_pinned(tmp_path, capsys):
     )
     assert code == 0
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == PINNED_SAMPLE_SHA256
+
+    data, schema, model = tmp_path / "d20.csv", tmp_path / "s20.json", tmp_path / "m20.model"
+    run(capsys, "gen-data", "--n", "20", "--samples", "120", "--seed", "20",
+        "--out", str(data), "--schema", str(schema))
+    run(capsys, "train", "--data", str(data), "--schema", str(schema), "--out", str(model),
+        "--iters", "2")
+    assert sorted(set(load_model(model).schema.cards)) == [2, 3, 4, 6]
+    code, out, _ = run(
+        capsys,
+        "eval", "--model", str(model), "--data", str(data), "--instances", "4",
+        "--sampler", "tree", "--samples", "40", "--burn-in", "40", "--thin", "2",
+        "--chains", "2", "--seed", "21",
+    )
+    assert code == 0
+    kept = "".join(line for line in out.splitlines(True) if not line.startswith("seconds_"))
+    cll, cmll, mx = PINNED_EVAL_N20
+    assert kept == (
+        "instances: 4\nq_frac: 0.4\ne_frac: 0.3\n"
+        f"mean_cll: {cll}\nmean_cmll: {cmll}\nmean_max: {mx}\n"
+    )
+    code, _, _ = run(
+        capsys,
+        "sample", "--model", str(model), "--samples", "30", "--chains", "2", "--thin", "2",
+        "--burn-in", "40", "--seed", "22", "--out", str(out_path),
+    )
+    assert code == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == PINNED_SAMPLE_N20_SHA256
 
 
 def test_log_level_env_var_silences_progress(tmp_path, capsys, monkeypatch):

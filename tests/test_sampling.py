@@ -10,12 +10,13 @@ from ldfm.matrix_tree import (
     partition_and_posteriors_many,
 )
 from ldfm.model import MISSING, NodeKey, ROOT, Variant, VariableSchema, make_uniform_model
-from ldfm.oracle import exact_conditional
-from ldfm.rng import make_rng
+from ldfm.oracle import exact_conditional, logsumexp
+from ldfm.rng import chain_rngs, make_rng
 from ldfm.sampling import (
     QueryInstance,
     SamplerConfig,
     SamplerKind,
+    _draw_rows,
     estimate_cll,
     estimate_cmll,
     gibbs_sweep,
@@ -26,7 +27,7 @@ from ldfm.sampling import (
     tree_augmented_step,
 )
 
-from conftest import model_from_weights, random_model
+from conftest import model_from_weights, random_model, random_schema
 
 
 def instance_all_hidden(n: int, query_var: int = 0, query_val: int = 0) -> QueryInstance:
@@ -131,13 +132,154 @@ def test_tree_step_preserves_tree_validity():
     rng = np.random.default_rng(3)
     schema = VariableSchema(tuple((f"X{i}", ("a", "b")) for i in range(5)))
     model = random_model(rng, schema)
-    chain_rng = make_rng(6)
-    values = chain_rng.integers(0, schema.cards, size=(1, 5))
-    parents = random_parent_vector(5, chain_rng)[None]
-    pinned = np.zeros((1, 5), dtype=bool)
+    rngs = chain_rngs(6, 4)
+    values = np.array([r.integers(0, schema.cards) for r in rngs])
+    parents = np.array([random_parent_vector(5, r) for r in rngs])
+    pinned = np.zeros((4, 5), dtype=bool)
+    pinned[1, [0, 3]] = True
     for _ in range(500):
-        tree_augmented_step(model, values, pinned, parents, [chain_rng])
-        assert is_rooted_tree(parents[0])
+        tree_augmented_step(model, values, pinned, parents, rngs)
+        assert all(is_rooted_tree(p) for p in parents)
+
+
+def _reference_draw(logw, rng, error):
+    total = logsumexp(logw)
+    if not np.isfinite(total):
+        raise SingularLaplacianError(error)
+    p = np.exp(logw - total)
+    p /= p.sum()
+    return int(rng.choice(len(p), p=p))
+
+
+def _reference_tree_step(model, values, pinned, parents, rngs):
+    """The one-chain-at-a-time tree step that the batched kernel replaced."""
+    schema = model.schema
+    n = schema.n
+    for c, rng in enumerate(rngs):
+        vals_c, par_c = values[c], parents[c]
+        node = int(rng.integers(1, n + 1))
+        var = node - 1
+
+        subtree, stack = [], [node]
+        while stack:
+            j = stack.pop()
+            subtree.append(j)
+            stack.extend(np.nonzero(par_c[1:] == j)[0] + 1)
+        blocked = np.zeros(n + 1, dtype=bool)
+        blocked[subtree] = True
+        cand_parents = np.nonzero(~blocked)[0]
+
+        rows_all = schema.assignment_rows(vals_c)
+        if pinned[c, var]:
+            vals = np.array([vals_c[var]], dtype=np.int64)
+        else:
+            vals = np.arange(schema.cards[var], dtype=np.int64)
+        val_cols = schema.offsets[var] + vals
+        val_rows = 1 + val_cols
+
+        children = np.nonzero(par_c == node)[0]
+        child_cols = schema.offsets[children - 1] + vals_c[children - 1]
+        with np.errstate(divide="ignore"):
+            log_in = np.log(model.dep[rows_all[cand_parents]][:, val_cols]).T
+            val_logw = np.log(model.dep[val_rows][:, child_cols]).sum(axis=1)
+            if model.variant is Variant.STOP_AUGMENTED:
+                val_logw = val_logw + np.log(model.stop[val_rows])
+
+        logw = (log_in + val_logw[:, None]).ravel()
+        error = f"every (value, parent) candidate for variable {var} has zero weight"
+        vi, pi = divmod(_reference_draw(logw, rng, error), len(cand_parents))
+        vals_c[var] = int(vals[vi])
+        par_c[node] = int(cand_parents[pi])
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_batched_tree_step_matches_per_chain_reference(variant):
+    rng = np.random.default_rng(41)
+    schema = random_schema(rng, 7, max_card=4)
+    assert len(set(schema.cards)) > 1
+    model = random_model(rng, schema, variant)
+    chains = 6
+    pinned = np.zeros((chains, 7), dtype=bool)
+    pinned[1, [0, 4]] = True
+    pinned[3, :] = True
+    pinned[4, [2, 3, 5, 6]] = True
+    state = []
+    for _ in range(2):
+        rngs = chain_rngs(43, chains)
+        values = np.array([r.integers(0, schema.cards) for r in rngs])
+        parents = np.array([random_parent_vector(7, r) for r in rngs])
+        state.append((values, parents, rngs))
+    (values, parents, rngs), (ref_values, ref_parents, ref_rngs) = state
+    for _ in range(300):
+        tree_augmented_step(model, values, pinned, parents, rngs)
+        _reference_tree_step(model, ref_values, pinned, ref_parents, ref_rngs)
+        np.testing.assert_array_equal(values, ref_values)
+        np.testing.assert_array_equal(parents, ref_parents)
+
+
+def _one_value_impossible_model(schema):
+    # X2=F gets no weight from any source, so an X2=F chain is impossible
+    x1t, x2t = NodeKey(0, 0), NodeKey(1, 0)
+    return model_from_weights(
+        schema, {(ROOT, x1t): 0.5, (ROOT, x2t): 0.5, (x1t, x2t): 1.0, (x2t, x1t): 1.0}
+    )
+
+
+def test_tree_step_error_names_the_impossible_chains_variable(two_binary_schema):
+    model = _one_value_impossible_model(two_binary_schema)
+    # chain 0 picks node 1 (variable 0) and can move; chain 1 picks node 2
+    # (variable 1), pinned to its impossible value F
+    def picking(node):
+        return next(make_rng(s) for s in range(100) if make_rng(s).integers(1, 3) == node)
+
+    values = np.array([[0, 0], [0, 1]])
+    pinned = np.array([[False, False], [False, True]])
+    parents = np.array([[-1, 0, 0], [-1, 0, 0]])
+    with pytest.raises(SingularLaplacianError, match="for variable 1 has zero weight"):
+        tree_augmented_step(model, values, pinned, parents, [picking(1), picking(2)])
+
+
+def test_gibbs_error_in_a_batch_with_one_impossible_chain(two_binary_schema):
+    model = _one_value_impossible_model(two_binary_schema)
+    values = np.array([[0, 0], [1, 1]])
+    pinned = np.array([[False, True], [False, True]])
+    with pytest.raises(SingularLaplacianError, match="every value of variable 0"):
+        gibbs_sweep(model, values, pinned, None, chain_rngs(0, 2))
+
+
+def _draw_test_rows(rng):
+    rows = [rng.normal(scale=rng.choice([0.1, 1.0, 30.0]), size=k) for k in (1, 2, 3, 7, 8, 9, 40)]
+    for k in (3, 12, 36):
+        row = rng.normal(size=k)
+        row[rng.random(k) < 0.5] = -np.inf
+        row[rng.integers(k)] = rng.normal()
+        rows.append(row)
+        one_hot = np.full(k, -np.inf)
+        one_hot[rng.integers(k)] = rng.normal()
+        rows.append(one_hot)
+    rows.append(np.full(5, -700.0))
+    return rows
+
+
+def test_draw_rows_matches_generator_choice():
+    rng = np.random.default_rng(47)
+    for trial in range(20):
+        for row in _draw_test_rows(rng):
+            logw = np.tile(row, (6, 1))
+            rngs = chain_rngs([trial, len(row)], 6)
+            ref_rngs = chain_rngs([trial, len(row)], 6)
+            twins = chain_rngs([trial, len(row)], 6)
+            picked = _draw_rows(logw, rngs, lambda r: "unused")
+            for r in range(6):
+                assert picked[r] == _reference_draw(row, ref_rngs[r], "unused")
+                twins[r].random()
+                assert rngs[r].bit_generator.state == twins[r].bit_generator.state
+
+
+def test_draw_rows_names_the_first_all_zero_row():
+    logw = np.array([[-0.7, -0.7], [-np.inf, -np.inf], [0.0, -np.inf], [-np.inf, -np.inf]])
+    with pytest.raises(SingularLaplacianError, match="^row 1$"):
+        _draw_rows(logw, chain_rngs(0, 4), lambda row: f"row {row}")
 
 
 def test_tree_step_pinned_values_matches_edge_posteriors():
