@@ -41,6 +41,8 @@ from .rng import chain_rngs, make_rng
 
 CHECK_TOL = 1e-9
 
+logger = logging.getLogger("ldfm.cli")
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # exit 1 on usage errors, not argparse's 2
@@ -165,6 +167,16 @@ def _parse_bindings(schema, text: str) -> np.ndarray:
 def _cmd_train(args) -> int:
     schema = load_schema(args.schema) if args.schema else None
     dataset = load_dataset(args.data, schema=schema)
+    if schema is None:
+        for name, dom in dataset.schema.variables:
+            if len(dom) == 1:
+                logger.warning(
+                    "variable %s takes only the value %r in %s, so the model knows "
+                    "no other value for it; pass --schema to declare its full domain",
+                    name,
+                    dom[0],
+                    args.data,
+                )
     config = learning.TrainConfig(
         max_iters=args.iters,
         rel_tol=args.tol,
@@ -175,7 +187,7 @@ def _cmd_train(args) -> int:
     )
     t0 = time.perf_counter()
     model, trace = learning.train_em(dataset.rows, dataset.schema, config, workers=args.workers)
-    logging.getLogger("ldfm.cli").info(
+    logger.info(
         "trained %d iterations in %.2fs (final ll %.6f)",
         len(trace) - 1,
         time.perf_counter() - t0,

@@ -2,7 +2,9 @@
 
 The structure of each sample is latent, so the E-step computes per-sample
 edge posteriors (already normalized by the per-sample tree-weight total)
-and accumulates them per <source key, target key> cell.  The M-step is the
+and accumulates them per <source key, target key> cell.  Posteriors depend
+on a sample only through its assignment, so the E-step visits each
+distinct row once and weights it by its count.  The M-step is the
 closed-form ratio of those counts, optionally smoothed.  The objective is
 the sum of per-sample log joint weights, which is the model log-likelihood
 up to an assignment-independent constant.
@@ -114,36 +116,60 @@ def _as_sample_matrix(data, schema: VariableSchema) -> np.ndarray:
     return xs
 
 
-def _chunk_stats(model: LdfmModel, xs: np.ndarray, start: int) -> SufficientStats:
+def _distinct_rows(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct rows of ``xs`` in order of first appearance.
+
+    Returns ``(rows, counts, first)``: the distinct rows, how often each
+    occurs, and the index in ``xs`` where each first occurs.
+    """
+    xs = np.ascontiguousarray(xs)
+    keys = xs.view(np.dtype((np.void, xs.dtype.itemsize * xs.shape[1]))).ravel()
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    first = first[order]
+    return xs[first], counts[order], first
+
+
+def _singular_sample(
+    exc: matrix_tree.SingularLaplacianError, first: np.ndarray
+) -> matrix_tree.SingularLaplacianError:
+    """Name the sample behind a chunk's singular item by its first index."""
+    bad = int(first[exc.index])
+    return matrix_tree.SingularLaplacianError(
+        f"sample {bad} has no positive-weight spanning tree", index=bad
+    )
+
+
+def _chunk_stats(
+    model: LdfmModel, xs: np.ndarray, counts: np.ndarray, first: np.ndarray
+) -> SufficientStats:
+    """Statistics of distinct rows ``xs``, each weighted by its count."""
     schema = model.schema
-    b = xs.shape[0]
     k = schema.num_keys
     weights = matrix_tree.assignment_matrices(model, xs)
     try:
         logz, post = matrix_tree.partition_and_posteriors_many(weights)
     except matrix_tree.SingularLaplacianError as exc:
-        bad = start + exc.index
-        raise matrix_tree.SingularLaplacianError(
-            f"sample {bad} has no positive-weight spanning tree", index=bad
-        ) from exc
+        raise _singular_sample(exc, first) from exc
 
     rows = schema.assignment_rows(xs)
     flat = (rows[:, :, None] * k + (rows[:, None, 1:] - 1)).ravel()
-    edge = np.bincount(flat, weights=post[:, :, 1:].ravel(), minlength=(1 + k) * k)
-    occur = np.bincount(rows.ravel(), minlength=1 + k).astype(np.float64)
-    ll = float(logz.sum())
+    mass = post[:, :, 1:] * counts[:, None, None]
+    edge = np.bincount(flat, weights=mass.ravel(), minlength=(1 + k) * k)
+    occur = np.bincount(rows.ravel(), weights=np.repeat(counts, rows.shape[1]), minlength=1 + k)
+    ll = float(logz @ counts)
     if model.variant is Variant.STOP_AUGMENTED:
-        ll += float(matrix_tree.stop_log_weight(model, xs).sum())
-    return SufficientStats(edge.reshape(1 + k, k), occur, b, ll)
+        ll += float(matrix_tree.stop_log_weight(model, xs) @ counts)
+    return SufficientStats(edge.reshape(1 + k, k), occur, int(counts.sum()), ll)
 
 
-def _map_chunks(fn: Callable, xs: np.ndarray, workers: int | None) -> list:
-    """``fn(chunk, start)`` over fixed-size chunks in sample order.
+def _map_chunks(fn: Callable, distinct: tuple, workers: int | None) -> list:
+    """``fn(rows, counts, first)`` over fixed-size chunks of distinct rows.
 
     Chunk boundaries do not depend on ``workers``, so reducing the results
     in order gives the same floats for any worker count.
     """
-    jobs = [(xs[s : s + CHUNK], s) for s in range(0, xs.shape[0], CHUNK)]
+    jobs = [tuple(a[s : s + CHUNK] for a in distinct) for s in range(0, len(distinct[0]), CHUNK)]
     if workers is not None and workers > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(lambda job: fn(*job), jobs))
@@ -152,21 +178,27 @@ def _map_chunks(fn: Callable, xs: np.ndarray, workers: int | None) -> list:
 
 def e_step(model: LdfmModel, data, workers: int | None = None) -> SufficientStats:
     """Edge-posterior statistics and log-likelihood over complete samples,
-    identical for any worker count."""
+    one pass per distinct sample weighted by its count; identical for any
+    worker count."""
     xs = _as_sample_matrix(data, model.schema)
-    parts = _map_chunks(partial(_chunk_stats, model), xs, workers)
+    parts = _map_chunks(partial(_chunk_stats, model), _distinct_rows(xs), workers)
     return sum(parts[1:], parts[0])
 
 
-def _chunk_loglik(model: LdfmModel, xs: np.ndarray, start: int) -> float:
-    """A chunk's log-likelihood from log Z alone, without the inverse."""
-    return float(matrix_tree.unnormalized_log_joint_many(model, xs).sum())
+def _chunk_loglik(
+    model: LdfmModel, xs: np.ndarray, counts: np.ndarray, first: np.ndarray
+) -> float:
+    """Count-weighted log-likelihood of distinct rows from log Z alone."""
+    try:
+        return float(matrix_tree.unnormalized_log_joint_many(model, xs) @ counts)
+    except matrix_tree.SingularLaplacianError as exc:
+        raise _singular_sample(exc, first) from exc
 
 
 def data_log_likelihood(model: LdfmModel, data) -> float:
     """Sum over samples of the log unnormalized joint weight."""
     xs = _as_sample_matrix(data, model.schema)
-    return sum(_map_chunks(partial(_chunk_loglik, model), xs, None))
+    return sum(_map_chunks(partial(_chunk_loglik, model), _distinct_rows(xs), None))
 
 
 def _uniform_rows(schema: VariableSchema, variant: Variant) -> tuple[np.ndarray, np.ndarray]:
@@ -252,6 +284,8 @@ def train_em(
     with no smoothing the log-likelihood itself is monotone.
     """
     xs = _as_sample_matrix(data, schema)
+    distinct = _distinct_rows(xs)
+    logger.debug("e-step over %d distinct rows of %d", len(distinct[1]), xs.shape[0])
     model = make_uniform_model(schema, config.variant)
     trace: list[TraceEntry] = []
 
@@ -277,5 +311,5 @@ def train_em(
                 break
         model = m_step(stats, config, schema)
     if not converged:
-        record(sum(_map_chunks(partial(_chunk_loglik, model), xs, workers)))
+        record(sum(_map_chunks(partial(_chunk_loglik, model), distinct, workers)))
     return model, trace

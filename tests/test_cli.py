@@ -246,6 +246,47 @@ def test_log_level_env_var_silences_progress(tmp_path, capsys, monkeypatch):
     assert "iter=" not in err
 
 
+def test_train_warns_about_one_valued_inferred_domains(tmp_path, capsys, monkeypatch):
+    data, schema = tmp_path / "d.csv", tmp_path / "s.json"
+    run(
+        capsys, "gen-data", "--n", "8", "--samples", "300", "--seed", "8",
+        "--out", str(data), "--schema", str(schema),
+    )
+    train = ("train", "--data", str(data), "--out", str(tmp_path / "m.model"), "--iters", "2")
+    code, _, err = run(capsys, *train)
+    assert code == 0
+    warnings = [line for line in err.splitlines() if "takes only the value" in line]
+    assert len(warnings) == 1
+    assert "variable V2 takes only the value 'yes'" in warnings[0]
+    assert "--schema" in warnings[0]
+
+    code, _, err = run(capsys, *train, "--schema", str(schema))
+    assert code == 0
+    assert "takes only the value" not in err
+
+    monkeypatch.setenv("LDFM_LOG", "error")
+    code, _, err = run(capsys, *train)
+    assert code == 0
+    assert err == ""
+
+
+def test_debug_log_reports_distinct_e_step_rows(tmp_path, capsys, monkeypatch):
+    data, schema = tmp_path / "d.csv", tmp_path / "s.json"
+    run(
+        capsys, "gen-data", "--n", "8", "--samples", "300", "--seed", "8",
+        "--out", str(data), "--schema", str(schema),
+    )
+    train = (
+        "train", "--data", str(data), "--schema", str(schema),
+        "--out", str(tmp_path / "m.model"), "--iters", "2",
+    )
+    _, _, err = run(capsys, *train)
+    assert "distinct rows" not in err
+    monkeypatch.setenv("LDFM_LOG", "debug")
+    _, _, err = run(capsys, *train)
+    assert "e-step over 14 distinct rows of 300\n" in err
+
+
 def test_missing_file_exits_two(tmp_path, capsys):
     code, _, err = run(capsys, "train", "--data", str(tmp_path / "nope.csv"), "--out", "x")
     assert code == 2

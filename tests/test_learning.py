@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ldfm.learning import (
+    CHUNK,
     Smoothing,
     SufficientStats,
     TrainConfig,
     data_log_likelihood,
+    _distinct_rows,
     e_step,
     m_step,
     train_em,
@@ -105,6 +109,93 @@ def test_e_step_singular_index_counts_from_the_whole_dataset(two_binary_schema):
     with pytest.raises(SingularLaplacianError, match="sample 270 ") as info:
         e_step(model, data)
     assert info.value.index == 270
+
+
+def test_e_step_singular_index_after_dedup_names_the_first_occurrence(two_binary_schema):
+    s = two_binary_schema
+    x1t, x2t = NodeKey(0, 0), NodeKey(1, 0)
+    # only (T, T) has a spanning tree: every assignment with an F is singular
+    model = model_from_weights(
+        s,
+        {(ROOT, x1t): 0.5, (ROOT, x2t): 0.5, (x1t, x2t): 1.0, (x2t, x1t): 1.0},
+    )
+    data = np.zeros((400, 2), dtype=np.int64)
+    data[40] = data[300] = [1, 1]
+    with pytest.raises(SingularLaplacianError, match="sample 40 ") as info:
+        e_step(model, data)
+    assert info.value.index == 40
+
+    data = np.zeros((400, 2), dtype=np.int64)
+    data[300] = [0, 1]  # sorts before (F, F), but appears later
+    data[270] = data[350] = [1, 1]
+    with pytest.raises(SingularLaplacianError, match="sample 270 ") as info:
+        e_step(model, data)
+    assert info.value.index == 270
+    with pytest.raises(SingularLaplacianError, match="sample 270 ") as info:
+        data_log_likelihood(model, data)
+    assert info.value.index == 270
+
+
+def test_distinct_rows_keep_first_appearance_order():
+    xs = np.array([[2, 0], [0, 1], [2, 0], [0, 0], [0, 1], [2, 0]])
+    rows, counts, first = _distinct_rows(xs)
+    np.testing.assert_array_equal(rows, [[2, 0], [0, 1], [0, 0]])
+    np.testing.assert_array_equal(counts, [3, 2, 1])
+    np.testing.assert_array_equal(first, [0, 1, 3])
+
+
+def _repeated_rows(rng, schema, distinct, size):
+    """``size`` rows that hold exactly ``distinct`` different assignments."""
+    grid = np.indices(schema.cards).reshape(schema.n, -1).T
+    pool = grid[rng.choice(len(grid), size=distinct, replace=False)]
+    extra = pool[rng.integers(0, distinct, size=size - distinct)]
+    return rng.permutation(np.vstack([pool, extra]))
+
+
+@pytest.mark.parametrize("variant", [Variant.PLAIN, Variant.STOP_AUGMENTED])
+def test_weighted_e_step_matches_per_row_reference(variant):
+    rng = np.random.default_rng(4)
+    schema = random_schema(rng, 6, max_card=4)
+    model = random_model(rng, schema, variant)
+    data = _repeated_rows(rng, schema, 2 * CHUNK + 88, 1500)
+    assert len(np.unique(data, axis=0)) > 2 * CHUNK
+
+    stats = e_step(model, data)
+    ref = SufficientStats.zeros(schema)
+    for x in data:
+        ref = ref + e_step(model, x[None, :])
+    np.testing.assert_allclose(stats.edge, ref.edge, rtol=1e-12, atol=0)
+    assert stats.loglik == pytest.approx(ref.loglik, rel=1e-12)
+    np.testing.assert_array_equal(stats.occur, ref.occur)
+    assert stats.sample_count == ref.sample_count == 1500
+
+    for workers in (2, 4):
+        threaded = e_step(model, data, workers=workers)
+        np.testing.assert_array_equal(threaded.edge, stats.edge)
+        np.testing.assert_array_equal(threaded.occur, stats.occur)
+        assert threaded.loglik == stats.loglik
+        assert threaded.sample_count == stats.sample_count
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 100_000),
+    stop=st.booleans(),
+    rows=st.integers(1, 40),
+    copies=st.integers(1, 4),
+)
+def test_e_step_ignores_row_order_and_duplication(seed, stop, rows, copies):
+    rng = np.random.default_rng(seed)
+    schema = random_schema(rng, int(rng.integers(1, 6)), max_card=4)
+    variant = Variant.STOP_AUGMENTED if stop else Variant.PLAIN
+    model = random_model(rng, schema, variant)
+    data = rng.integers(0, schema.cards, size=(rows, schema.n))
+    base = e_step(model, data)
+    shuffled = e_step(model, rng.permutation(np.tile(data, (copies, 1))))
+    np.testing.assert_allclose(shuffled.edge, copies * base.edge, rtol=1e-12, atol=0)
+    assert shuffled.loglik == pytest.approx(copies * base.loglik, rel=1e-12)
+    np.testing.assert_array_equal(shuffled.occur, copies * base.occur)
+    assert shuffled.sample_count == copies * base.sample_count == copies * rows
 
 
 def test_e_step_workers_do_not_change_results(worked_model):
