@@ -255,8 +255,7 @@ def _cmd_check(args) -> int:
     worst_logz = 0.0
     worst_post = 0.0
     for _ in range(args.trials):
-        w = np.zeros((n + 1, n + 1))
-        w[:, 1:] = rng.uniform(0.01, 1.0, size=(n + 1, n))
+        w = rng.uniform(0.01, 1.0, size=(n + 1, n))
         logz, post = partition_and_posteriors_many(w[None])
         brute = brute_log_partition(w)
         worst_logz = max(worst_logz, abs(float(logz[0]) - brute) / max(abs(brute), 1.0))

@@ -192,49 +192,35 @@ def save_model(model: LdfmModel, path) -> None:
         fh.write("\n")
 
 
-def load_model(path) -> LdfmModel:
-    """Rebuild a model from a file produced by :func:`save_model`.
+def _number(value, what: str):
+    """``value`` if JSON typed it as a number (true and false are not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{what} {value!r} is not a number")
+    return value
 
-    Rejects version mismatches, truncation, and checksum failures outright;
-    a normalization deviation beyond 1e-6 only warns, since slightly stale
-    weights are still usable.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"{path}: not a valid model file ({exc})") from None
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise ModelFormatError(
-            f"{path}: unsupported format_version {doc.get('format_version')!r}"
-        )
-    payload = doc.get("payload")
-    if payload is None or "checksum" not in doc:
-        raise ModelFormatError(f"{path}: missing payload or checksum")
-    if _payload_checksum(payload) != doc["checksum"]:
-        raise ModelFormatError(f"{path}: checksum mismatch")
 
-    schema = VariableSchema(
-        tuple((v["name"], tuple(v["domain"])) for v in payload["variables"])
-    )
+def _model_from_payload(payload: dict, path) -> LdfmModel:
+    """The model a payload describes; any structure or type error raises."""
+    variables = payload["variables"]
+    schema = VariableSchema(tuple((v["name"], tuple(v["domain"])) for v in variables))
+    if variables != [{"name": name, "domain": list(dom)} for name, dom in schema.variables]:
+        raise TypeError("variables must be a list of {name: string, domain: [string, ...]}")
     variant = Variant(payload["variant"])
     k = schema.num_keys
     dep = np.zeros((1 + k, k))
     dep_set = np.zeros((1 + k, k), dtype=bool)
 
-    def fill_row(row: int, entries: dict) -> None:
+    def cells(entries: dict):
+        """(key column, value) for each entry of a {variable: {label: value}} map."""
         for var_name, by_label in entries.items():
             v = schema.var_index(var_name)
-            for label, weight in by_label.items():
-                col = schema.col_of(v, schema.value_index(v, label))
-                dep[row, col] = weight
-                dep_set[row, col] = True
+            for label, value in by_label.items():
+                yield schema.col_of(v, schema.value_index(v, label)), value
 
-    fill_row(0, payload["root_weights"])
-    for var_name, by_label in payload["weights"].items():
-        v = schema.var_index(var_name)
-        for label, entries in by_label.items():
-            fill_row(1 + schema.col_of(v, schema.value_index(v, label)), entries)
+    rows = [(0, payload["root_weights"])] + [(1 + c, e) for c, e in cells(payload["weights"])]
+    for row, entries in rows:
+        for col, weight in cells(entries):
+            dep[row, col], dep_set[row, col] = _number(weight, "weight"), True
     missing = np.argwhere(schema.source_mask & ~dep_set)
     if missing.size:
         row, col = missing[0]
@@ -247,17 +233,44 @@ def load_model(path) -> LdfmModel:
     if variant is Variant.STOP_AUGMENTED:
         stop = np.zeros(1 + k)
         stop_set = np.zeros(1 + k, dtype=bool)
-        stop[0], stop_set[0] = payload["root_stop"], True
-        for var_name, by_label in payload["stop_weights"].items():
-            v = schema.var_index(var_name)
-            for label, weight in by_label.items():
-                row = 1 + schema.col_of(v, schema.value_index(v, label))
-                stop[row], stop_set[row] = weight, True
+        stop[0], stop_set[0] = _number(payload["root_stop"], "root_stop"), True
+        for col, weight in cells(payload["stop_weights"]):
+            stop[1 + col], stop_set[1 + col] = _number(weight, "stop weight"), True
         if not stop_set.all():
             row = np.argmin(stop_set)
             raise ModelFormatError(f"{path}: no stop weight for {schema.describe_row(row)}")
 
-    model = LdfmModel(schema, variant, dep, stop)
+    return LdfmModel(schema, variant, dep, stop)
+
+
+def load_model(path) -> LdfmModel:
+    """Rebuild a model from a file produced by :func:`save_model`.
+
+    Rejects version mismatches, truncation, and checksum failures outright;
+    a normalization deviation beyond 1e-6 only warns, since slightly stale
+    weights are still usable.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ModelFormatError(f"{path}: not a valid model file ({exc})") from None
+    version = doc.get("format_version") if isinstance(doc, dict) else None
+    if version != FORMAT_VERSION:
+        raise ModelFormatError(f"{path}: unsupported format_version {version!r}")
+    payload = doc.get("payload")
+    if payload is None or "checksum" not in doc:
+        raise ModelFormatError(f"{path}: missing payload or checksum")
+    if _payload_checksum(payload) != doc["checksum"]:
+        raise ModelFormatError(f"{path}: checksum mismatch")
+
+    try:
+        model = _model_from_payload(payload, path)
+    except ModelFormatError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        detail = f"{type(exc).__name__}: {exc}"
+        raise ModelFormatError(f"{path}: malformed payload ({detail})") from None
     defects = weight_violations(model)
     if defects:
         raise ModelFormatError(f"{path}: {'; '.join(defects)}")

@@ -64,8 +64,10 @@ def make_query_instances(
 
     |Q| = round(q_frac * n) and |E| = round(e_frac * n) (half rounds up),
     with |E| shrunk if needed so the split fits; a q_frac that rounds to
-    zero query variables is an error.
+    zero query variables, or a count below one, is an error.
     """
+    if count < 1:
+        raise ValueError(f"instance count must be at least 1, got {count}")
     if q_frac < 0 or e_frac < 0 or q_frac + e_frac > 1 + 1e-12:
         raise ValueError("fractions must be nonnegative with q_frac + e_frac <= 1")
     if len(dataset) == 0:
@@ -94,7 +96,6 @@ def evaluate(
     config: SamplerConfig,
     q_frac: float,
     e_frac: float,
-    seconds_train: float = 0.0,
 ) -> EvalReport:
     """Sample each instance and aggregate normalized CLL/CMLL/max metrics.
 
@@ -131,7 +132,6 @@ def evaluate(
         mean_cmll=float(np.mean(per_cmll)),
         mean_max=float(np.mean(per_max)),
         sampler_config=config,
-        seconds_train=seconds_train,
         seconds_infer=seconds_infer,
     )
 

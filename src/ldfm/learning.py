@@ -153,9 +153,10 @@ def _chunk_stats(
         raise _singular_sample(exc, first) from exc
 
     rows = schema.assignment_rows(xs)
+    # posterior cell (i, j) goes back to the dep cell it was gathered from
     flat = (rows[:, :, None] * k + (rows[:, None, 1:] - 1)).ravel()
-    mass = post[:, :, 1:] * counts[:, None, None]
-    edge = np.bincount(flat, weights=mass.ravel(), minlength=(1 + k) * k)
+    post *= counts[:, None, None]
+    edge = np.bincount(flat, weights=post.ravel(), minlength=(1 + k) * k)
     occur = np.bincount(rows.ravel(), weights=np.repeat(counts, rows.shape[1]), minlength=1 + k)
     ll = float(logz @ counts)
     if model.variant is Variant.STOP_AUGMENTED:
@@ -275,7 +276,6 @@ def train_em(
     schema: VariableSchema,
     config: TrainConfig,
     workers: int | None = None,
-    progress: Callable[[int, float, float], None] | None = None,
 ) -> tuple[LdfmModel, list[TraceEntry]]:
     """Run EM from the uniform model; returns the model and objective trace.
 
@@ -284,8 +284,7 @@ def train_em(
     with no smoothing the log-likelihood itself is monotone.
     """
     xs = _as_sample_matrix(data, schema)
-    distinct = _distinct_rows(xs)
-    logger.debug("e-step over %d distinct rows of %d", len(distinct[1]), xs.shape[0])
+    logger.debug("e-step over %d distinct rows of %d", len(_distinct_rows(xs)[0]), xs.shape[0])
     model = make_uniform_model(schema, config.variant)
     trace: list[TraceEntry] = []
 
@@ -295,11 +294,8 @@ def train_em(
         k = len(trace) - 1
         dll = 0.0 if k == 0 else entry.loglik - trace[k - 1].loglik
         logger.info("iter=%d ll=%.6f dll=%.6f", k, entry.loglik, dll)
-        if progress is not None:
-            progress(k, entry.loglik, dll)
         return entry
 
-    converged = False
     for _ in range(config.max_iters):
         stats = e_step(model, xs, workers=workers)
         entry = record(stats.loglik)
@@ -307,9 +303,8 @@ def train_em(
             prev = trace[-2].objective
             gain = entry.objective - prev
             if gain < config.rel_tol * max(abs(prev), 1e-12):
-                converged = True
                 break
         model = m_step(stats, config, schema)
-    if not converged:
-        record(sum(_map_chunks(partial(_chunk_loglik, model), distinct, workers)))
+    else:
+        record(data_log_likelihood(model, xs))
     return model, trace

@@ -1,10 +1,14 @@
 """Per-assignment spanning-tree numerics.
 
 For a complete assignment the pairwise weights form a dense rooted digraph
-over n+1 nodes (node 0 is the dummy root).  The matrix-tree theorem turns
-the sum over all rooted spanning trees into the determinant of the root
-minor of the graph Laplacian, and per-edge posterior mass into entries of
-its inverse, both O(n^3).
+over n+1 nodes (node 0 is the dummy root).  It is stored as an (n+1, n)
+edge table, the part of ``LdfmModel.dep`` the assignment selects:
+``w[i, j]`` is the weight of the edge from source i (0 = root, i >= 1 =
+node i) into node j+1.  The self-loop cells ``w[j+1, j]`` are not edges
+and are ignored, whatever they hold.  The matrix-tree theorem turns the
+sum over all rooted spanning trees into the determinant of the root minor
+of the graph Laplacian, and per-edge posterior mass into entries of its
+inverse, both O(n^3).
 
 All determinant work happens in the log domain after column equilibration:
 each column of the minor is divided by its diagonal entry and the scale
@@ -42,12 +46,10 @@ class NumericConsistencyError(ArithmeticError):
 
 
 def assignment_matrices(model: LdfmModel, xs: np.ndarray) -> np.ndarray:
-    """Stacked (B, n+1, n+1) edge-weight matrices for complete assignments ``xs``."""
+    """Stacked (B, n+1, n) edge-weight tables for complete assignments ``xs``."""
     schema = model.schema
-    xs = np.asarray(xs, dtype=np.int64)
-    if xs.ndim == 1:
-        xs = xs[None, :]
-    b, n = xs.shape
+    xs = np.atleast_2d(np.asarray(xs, dtype=np.int64))
+    n = xs.shape[1]
     if n != schema.n:
         raise ValueError(f"assignments have {n} variables, schema has {schema.n}")
     if np.any(xs == MISSING):
@@ -55,24 +57,24 @@ def assignment_matrices(model: LdfmModel, xs: np.ndarray) -> np.ndarray:
     if np.any(xs < 0) or np.any(xs >= schema.cards[None, :]):
         raise ValueError("assignment value index out of range")
     rows = schema.assignment_rows(xs)
-    w = np.zeros((b, n + 1, n + 1), dtype=np.float64)
-    w[:, :, 1:] = model.dep[rows[:, :, None], rows[:, None, 1:] - 1]
-    return w
+    return model.dep[rows[:, :, None], rows[:, None, 1:] - 1]
 
 
-def _root_minors(weights: np.ndarray) -> np.ndarray:
-    """Root minors (rows/cols 0 removed) of the Laplacians of stacked graphs.
+def _root_minors(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked edge tables with their self-loop cells zeroed (one copy), and
+    the root minors of their Laplacians.
 
-    Q[j][j] is the incoming-weight sum of node j and Q[i][j] = -weight[i][j].
-    Column 0 and the diagonal of ``weights`` are not edges and are ignored.
+    Q[j][j] is the incoming-weight sum of node j+1 and Q[i][j] = -w[i+1][j].
+    Rejects negative edge weights.
     """
+    idx = np.arange(weights.shape[-1])
     w = weights.copy()
-    idx = np.arange(w.shape[-1])
-    w[..., idx, idx] = 0.0
-    colsum = w.sum(axis=-2)
-    q = -w
-    q[..., idx, idx] = colsum
-    return q[..., 1:, 1:]
+    w[..., idx + 1, idx] = 0.0
+    if np.any(w < 0):
+        raise ValueError("edge weights must be nonnegative")
+    q = -w[..., 1:, :]
+    q[..., idx, idx] = w.sum(axis=-2)
+    return w, q
 
 
 def _log_det_scaled(q0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -80,19 +82,19 @@ def _log_det_scaled(q0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
 
     Returns (log_det, ok, scaled, scale): ok is False wherever the
     determinant is nonpositive, non-finite, or a diagonal entry vanishes;
-    ``scaled`` is q0 with each column divided by ``scale``, its diagonal
-    entry (1 where that entry vanishes).
+    ``scaled`` is q0 itself, each column divided in place by ``scale``, its
+    diagonal entry (1 where that entry vanishes).
     """
     idx = np.arange(q0.shape[-1])
     diag = q0[..., idx, idx]
     ok = np.all(diag > PIVOT_FLOOR, axis=-1)
     safe = np.where(diag > PIVOT_FLOOR, diag, 1.0)
-    scaled = q0 / safe[..., None, :]
-    sign, logdet = np.linalg.slogdet(scaled)
+    q0 /= safe[..., None, :]
+    sign, logdet = np.linalg.slogdet(q0)
     with np.errstate(divide="ignore"):
         log_scale = np.where(ok, np.log(safe).sum(axis=-1), -np.inf)
     ok = ok & (sign > 0) & np.isfinite(logdet)
-    return logdet + log_scale, ok, scaled, safe
+    return logdet + log_scale, ok, q0, safe
 
 
 def _require_ok(ok: np.ndarray) -> None:
@@ -106,37 +108,34 @@ def _require_ok(ok: np.ndarray) -> None:
 def log_partition_many(
     weights: np.ndarray, on_singular: str = "raise"
 ) -> np.ndarray:
-    """Log total spanning-tree weight for stacked (B, n+1, n+1) graphs.
+    """Log total spanning-tree weight for stacked (B, n+1, n) edge tables.
 
     ``on_singular`` is either "raise" (default) or "neginf", which maps
     singular items to -inf so callers can treat them as zero weight.
     """
-    if np.any(weights < 0):
-        raise ValueError("edge weights must be nonnegative")
-    logz, ok, _, _ = _log_det_scaled(_root_minors(weights))
+    logz, ok, _, _ = _log_det_scaled(_root_minors(weights)[1])
     if on_singular == "neginf":
         return np.where(ok, logz, -np.inf)
     _require_ok(ok)
     return logz
 
 
-def _posteriors_from_inverse(weights: np.ndarray, inv_q0: np.ndarray) -> np.ndarray:
-    """Edge posteriors from stacked root-minor inverses.
+def _posteriors_from_inverse(w: np.ndarray, inv_q0: np.ndarray) -> np.ndarray:
+    """Edge posteriors from stacked root-minor inverses, written over ``w``
+    and ``inv_q0`` so that a call allocates no table beyond those two.
 
-    post[i][j] = w[i][j] * (inv[j-1, j-1] - inv[j-1, i-1]) for i, j >= 1 and
-    post[0][j] = w[0][j] * inv[j-1, j-1]; already normalized by the total
-    tree weight, so no explicit partition-function factor appears.
+    post[0][j] = w[0][j] * inv[j, j] and post[i][j] = w[i][j] * (inv[j, j] -
+    inv[j, i-1]) for i >= 1; already normalized by the total tree weight, so
+    no explicit partition-function factor appears.  Self-loop cells come
+    out as exact zeros because ``w`` holds zeros there.
     """
-    b, n1, _ = weights.shape
-    idx = np.arange(n1 - 1)
-    diag = inv_q0[..., idx, idx]
-    post = np.zeros_like(weights)
-    post[:, 0, 1:] = weights[:, 0, 1:] * diag
+    idx = np.arange(w.shape[-1])
+    diag = inv_q0[..., idx, idx][:, None, :]
+    post = w
+    post[:, :1] *= diag
     trans = np.swapaxes(inv_q0, -1, -2)
-    post[:, 1:, 1:] = weights[:, 1:, 1:] * (diag[:, None, :] - trans)
-    post[:, :, 0] = 0.0
-    di = np.arange(n1)
-    post[:, di, di] = 0.0
+    np.subtract(diag, trans, out=trans)
+    post[:, 1:] *= trans
 
     lo = post.min()
     hi = post.max()
@@ -150,17 +149,17 @@ def _posteriors_from_inverse(weights: np.ndarray, inv_q0: np.ndarray) -> np.ndar
 
 
 def partition_and_posteriors_many(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Log partition values and edge posteriors for stacked graphs.
+    """Log partition values and (B, n+1, n) edge posteriors for stacked tables.
 
     Raises SingularLaplacianError (with the offending batch index) if any
     item has no positive-weight spanning tree.
     """
-    if np.any(weights < 0):
-        raise ValueError("edge weights must be nonnegative")
-    logz, ok, scaled, scale = _log_det_scaled(_root_minors(weights))
+    w, q0 = _root_minors(weights)
+    logz, ok, scaled, scale = _log_det_scaled(q0)
     _require_ok(ok)
-    inv_q0 = np.linalg.inv(scaled) / scale[..., :, None]
-    return logz, _posteriors_from_inverse(weights, inv_q0)
+    inv_q0 = np.linalg.inv(scaled)
+    inv_q0 /= scale[..., :, None]
+    return logz, _posteriors_from_inverse(w, inv_q0)
 
 
 def stop_log_weight(model: LdfmModel, xs: np.ndarray) -> np.ndarray:

@@ -36,9 +36,10 @@ def logsumexp(values: np.ndarray) -> float:
 def enumerate_rooted_trees(n: int) -> Iterator[tuple[int, ...]]:
     """Yield every parent vector encoding a spanning tree rooted at node 0.
 
-    parent[j-1] is the parent of node j.  Scans all n^n candidate vectors
-    with a path-following acyclicity check; the valid count for the
-    complete graph is (n+1)^(n-1).
+    parent[j-1] is the parent of node j, so a tree's edges are the cells
+    ``weights[parent[j-1], j-1]`` of an (n+1, n) edge table.  Scans all n^n
+    candidate vectors with a path-following acyclicity check; the valid
+    count for the complete graph is (n+1)^(n-1).
     """
     if not 1 <= n <= MAX_TREE_N:
         raise ValueError(f"n must be in [1, {MAX_TREE_N}], got {n}")
@@ -57,19 +58,18 @@ def _tree_table(n: int) -> np.ndarray:
 
 
 def _tree_log_weights(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    n = weights.shape[0] - 1
+    n = weights.shape[1]
     trees = _tree_table(n)
     with np.errstate(divide="ignore"):
         logw = np.log(weights)
-    cols = np.arange(1, n + 1)
-    return trees, logw[trees, cols].sum(axis=1)
+    return trees, logw[trees, np.arange(n)].sum(axis=1)
 
 
 def brute_log_partition(weights: np.ndarray) -> float:
     """Log of the sum over all rooted spanning trees of the edge-weight product.
 
-    ``weights`` is one (n+1, n+1) edge-weight matrix; column 0 and the
-    diagonal are never read.
+    ``weights`` is one (n+1, n) edge table, ``weights[i, j]`` the edge from
+    source i (0 = root) into node j+1; self-loop cells are never read.
     """
     _, tree_logw = _tree_log_weights(weights)
     total = logsumexp(tree_logw)
@@ -79,21 +79,14 @@ def brute_log_partition(weights: np.ndarray) -> float:
 
 
 def brute_edge_posteriors(weights: np.ndarray) -> np.ndarray:
-    """Edge posteriors by direct summation over enumerated trees."""
+    """(n+1, n) edge posteriors by summation over enumerated trees; self-loop cells are 0."""
     trees, tree_logw = _tree_log_weights(weights)
-    log_z = logsumexp(tree_logw)
-    if not np.isfinite(log_z):
-        raise ValueError("all spanning trees have zero weight")
+    log_z = brute_log_partition(weights)
     n = trees.shape[1]
-    post = np.zeros((n + 1, n + 1))
-    for j in range(1, n + 1):
-        parents = trees[:, j - 1]
-        for i in range(0, n + 1):
-            if i == j:
-                continue
-            sel = tree_logw[parents == i]
-            if sel.size:
-                post[i, j] = np.exp(logsumexp(sel) - log_z)
+    post = np.zeros((n + 1, n))
+    for j in range(n):
+        for i in range(n + 1):
+            post[i, j] = np.exp(logsumexp(tree_logw[trees[:, j] == i]) - log_z)
     return post
 
 

@@ -13,11 +13,11 @@ WORKED_Z = 0.2 * 0.3 + 0.2 * 0.4 + 0.3 * 0.5
 
 
 def worked_graph() -> np.ndarray:
-    w = np.zeros((3, 3))
-    w[0, 1] = WORKED_W01
-    w[0, 2] = WORKED_W02
-    w[1, 2] = WORKED_W12
-    w[2, 1] = WORKED_W21
+    w = np.zeros((3, 2))
+    w[0, 0] = WORKED_W01
+    w[0, 1] = WORKED_W02
+    w[1, 1] = WORKED_W12
+    w[2, 0] = WORKED_W21
     return w
 
 

@@ -343,3 +343,54 @@ def test_query_on_nan_model_exits_two(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "non-finite" in err
+
+
+def _root_weights_as_list(payload):
+    payload["root_weights"] = list(payload["root_weights"].values())
+
+
+def _list_valued_weight(payload):
+    by_label = next(iter(next(iter(next(iter(payload["weights"].values())).values())).values()))
+    label = next(iter(by_label))
+    by_label[label] = [by_label[label]]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [_root_weights_as_list, _list_valued_weight, lambda payload: payload.pop("variables")],
+    ids=["root-weights-list", "list-weight", "no-variables"],
+)
+def test_query_on_malformed_model_payload_exits_two(tmp_path, capsys, edit):
+    data = tmp_path / "d.csv"
+    run(capsys, "gen-data", "--n", "8", "--samples", "120", "--seed", "8", "--out", str(data))
+    model_path = tmp_path / "m.model"
+    run(capsys, "train", "--data", str(data), "--out", str(model_path), "--iters", "1")
+    doc = json.loads(model_path.read_text())
+    first = doc["payload"]["variables"][0]
+    binding = f"{first['name']}={first['domain'][0]}"
+    edit(doc["payload"])
+    doc["checksum"] = _payload_checksum(doc["payload"])
+    model_path.write_text(json.dumps(doc))
+    code, out, err = run(
+        capsys,
+        "query", "--model", str(model_path), "--query", binding,
+        "--sampler", "gibbs", "--samples", "20", "--seed", "1",
+    )
+    assert code == 2
+    assert out == ""
+    assert str(model_path) in err
+
+
+def test_eval_with_zero_instances_exits_two(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    run(capsys, "gen-data", "--n", "8", "--samples", "60", "--seed", "8", "--out", str(data))
+    model_path = tmp_path / "m.model"
+    run(capsys, "train", "--data", str(data), "--out", str(model_path), "--iters", "1")
+    code, out, err = run(
+        capsys,
+        "eval", "--model", str(model_path), "--data", str(data), "--instances", "0",
+        "--sampler", "gibbs", "--samples", "20", "--seed", "1",
+    )
+    assert code == 2
+    assert "nan" not in out
+    assert "instance count" in err

@@ -288,3 +288,34 @@ def test_model_missing_stop_weight_rejected(tmp_path):
     rewrite_payload(p, lambda pl: pl["stop_weights"]["A"].pop("F"))
     with pytest.raises(ModelFormatError, match="no stop weight for A=F"):
         load_model(p)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda pl: pl["weights"]["A"]["T"]["B"].update(F="0.5"),
+        lambda pl: pl["weights"]["A"]["T"]["B"].update(F=True),
+        lambda pl: pl["root_weights"].update(A=[0.5, 0.5]),
+        lambda pl: pl["variables"][0].update(domain="TF"),
+        lambda pl: pl["variables"][1].update(name=2),
+        lambda pl: pl["weights"].update(C={}),
+        lambda pl: pl.update(variant="forest"),
+        lambda pl: pl.pop("weights"),
+    ],
+    ids=["string-weight", "bool-weight", "list-row", "string-domain", "int-name",
+         "unknown-variable", "unknown-variant", "no-weights"],
+)
+def test_model_malformed_payload_rejected_with_path(tmp_path, edit):
+    p = saved_uniform(tmp_path)
+    rewrite_payload(p, edit)
+    with pytest.raises(ModelFormatError, match="malformed payload") as info:
+        load_model(p)
+    assert str(p) in str(info.value)
+
+
+def test_model_file_that_is_not_a_json_object_rejected(tmp_path):
+    p = tmp_path / "m.model"
+    write(p, "[1, 2]")
+    with pytest.raises(ModelFormatError, match="format_version") as info:
+        load_model(p)
+    assert str(p) in str(info.value)

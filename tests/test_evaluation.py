@@ -51,6 +51,12 @@ def test_query_fraction_rounding_to_zero_is_an_error():
         make_query_instances(ds, 0.1, 0.2, 3, seed=3)
 
 
+@pytest.mark.parametrize("count", [0, -1])
+def test_instance_count_below_one_is_an_error(count):
+    with pytest.raises(ValueError, match="at least 1"):
+        make_query_instances(toy_dataset(4), 0.5, 0.2, count, seed=3)
+
+
 def test_same_seed_same_instances():
     ds = toy_dataset(6)
     a = make_query_instances(ds, 0.5, 0.3, 10, seed=9)

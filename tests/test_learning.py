@@ -252,13 +252,13 @@ def test_m_step_matches_brute_posterior_renormalization():
         post = brute_edge_posteriors(assignment_matrices(model, x)[0])
         rows = schema.assignment_rows(x)
         for i in range(schema.n + 1):
-            out_mass = post[i, 1:].sum()
+            out_mass = post[i].sum()
             if out_mass <= 0:
                 continue
             for j in range(1, schema.n + 1):
                 if i == j:
                     continue
-                expected = post[i, j] / out_mass
+                expected = post[i, j - 1] / out_mass
                 col = schema.col_of(j - 1, x[j - 1])
                 assert new.dep[rows[i], col] == pytest.approx(expected, abs=1e-9)
 
@@ -273,7 +273,7 @@ def test_m_step_stop_variant_expected_stop_counts(two_binary_schema):
     post = brute_edge_posteriors(assignment_matrices(model, x)[0])
     rows = s.assignment_rows(x)
     for i in range(3):
-        out_mass = post[i, 1:].sum()
+        out_mass = post[i].sum()
         assert new.stop[rows[i]] == pytest.approx(1.0 / (1.0 + out_mass), abs=1e-9)
     assert validate_model(new, 1e-9) == []
 

@@ -22,32 +22,30 @@ from conftest import WORKED_Z, worked_graph
 
 
 def random_graph(rng: np.random.Generator, n: int) -> np.ndarray:
-    w = np.zeros((n + 1, n + 1))
-    w[:, 1:] = rng.uniform(0.01, 1.0, size=(n + 1, n))
-    return w
+    return rng.uniform(0.01, 1.0, size=(n + 1, n))
 
 
 def test_laplacian_worked_example():
-    q0 = _root_minors(worked_graph()[None])[0]
+    q0 = _root_minors(worked_graph()[None])[1][0]
     np.testing.assert_allclose(q0, [[0.7, -0.4], [-0.5, 0.7]], atol=1e-15)
 
 
 def test_laplacian_single_node():
-    w = np.zeros((2, 2))
-    w[0, 1] = 0.37
-    q0 = _root_minors(w[None])[0]
+    w = np.zeros((2, 1))
+    w[0, 0] = 0.37
+    q0 = _root_minors(w[None])[1][0]
     np.testing.assert_allclose(q0, [[0.37]])
 
 
 def test_laplacian_all_zero_weights_gives_zero_minor():
-    q0 = _root_minors(np.zeros((1, 4, 4)))
+    q0 = _root_minors(np.zeros((1, 4, 3)))[1]
     np.testing.assert_array_equal(q0, 0.0)
 
 
 def test_laplacian_rejects_negative_weights():
-    w = np.zeros((3, 3))
-    w[0, 1] = -0.1
-    w[0, 2] = 0.2
+    w = np.zeros((3, 2))
+    w[0, 0] = -0.1
+    w[0, 1] = 0.2
     with pytest.raises(ValueError):
         log_partition_many(w[None])
 
@@ -58,27 +56,27 @@ def test_log_partition_worked_example():
 
 
 def test_log_partition_single_node():
-    w = np.zeros((2, 2))
-    w[0, 1] = 0.7
+    w = np.zeros((2, 1))
+    w[0, 0] = 0.7
     assert log_partition_many(w[None])[0] == pytest.approx(math.log(0.7))
 
 
 def test_log_partition_all_zero_is_singular():
     with pytest.raises(SingularLaplacianError):
-        log_partition_many(np.zeros((1, 3, 3)))
+        log_partition_many(np.zeros((1, 3, 2)))
 
 
 def test_log_partition_unreachable_root_is_singular():
-    w = np.zeros((3, 3))
-    w[1, 2] = 0.4
-    w[2, 1] = 0.5
+    w = np.zeros((3, 2))
+    w[1, 1] = 0.4
+    w[2, 0] = 0.5
     with pytest.raises(SingularLaplacianError):
         log_partition_many(w[None])
 
 
 def test_log_partition_many_neginf_mode():
     good = worked_graph()
-    bad = np.zeros((3, 3))
+    bad = np.zeros((3, 2))
     out = log_partition_many(np.stack([good, bad]), on_singular="neginf")
     assert out[0] == pytest.approx(math.log(WORKED_Z))
     assert out[1] == -np.inf
@@ -87,23 +85,23 @@ def test_log_partition_many_neginf_mode():
 def test_edge_posteriors_worked_example():
     _, post = partition_and_posteriors_many(worked_graph()[None])
     post = post[0]
-    assert post[0, 1] == pytest.approx(0.14 / WORKED_Z, rel=1e-12)
-    assert post[0, 2] == pytest.approx(0.21 / WORKED_Z, rel=1e-12)
-    assert post[1, 2] == pytest.approx(0.08 / WORKED_Z, rel=1e-12)
-    assert post[2, 1] == pytest.approx(0.15 / WORKED_Z, rel=1e-12)
+    assert post[0, 0] == pytest.approx(0.14 / WORKED_Z, rel=1e-12)
+    assert post[0, 1] == pytest.approx(0.21 / WORKED_Z, rel=1e-12)
+    assert post[1, 1] == pytest.approx(0.08 / WORKED_Z, rel=1e-12)
+    assert post[2, 0] == pytest.approx(0.15 / WORKED_Z, rel=1e-12)
 
 
 def test_posterior_check_rejects_nan():
-    inv = np.linalg.inv(_root_minors(worked_graph()[None]))
+    inv = np.linalg.inv(_root_minors(worked_graph()[None])[1])
     inv[0, 1, 0] = np.nan
     with pytest.raises(NumericConsistencyError):
         _posteriors_from_inverse(worked_graph()[None], inv)
 
 
 def test_edge_posteriors_single_node():
-    w = np.zeros((2, 2))
-    w[0, 1] = 0.123
-    assert partition_and_posteriors_many(w[None])[1][0, 0, 1] == pytest.approx(1.0)
+    w = np.zeros((2, 1))
+    w[0, 0] = 0.123
+    assert partition_and_posteriors_many(w[None])[1][0, 0, 0] == pytest.approx(1.0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -121,7 +119,7 @@ def test_matches_enumeration_on_random_graphs(seed, n):
 def test_posterior_columns_are_stochastic(seed, n):
     graph = random_graph(np.random.default_rng(seed), n)
     post = partition_and_posteriors_many(graph[None])[1][0]
-    np.testing.assert_allclose(post[:, 1:].sum(axis=0), 1.0, atol=1e-9)
+    np.testing.assert_allclose(post.sum(axis=0), 1.0, atol=1e-9)
     assert post.min() >= 0.0 and post.max() <= 1.0
 
 
@@ -150,22 +148,22 @@ def test_increasing_a_weight_increases_its_posterior(seed, n):
     j = int(rng.integers(1, n + 1))
     while j == i:
         j = int(rng.integers(1, n + 1))
-    before = partition_and_posteriors_many(graph[None])[1][0, i, j]
+    before = partition_and_posteriors_many(graph[None])[1][0, i, j - 1]
     bumped = graph.copy()
-    bumped[i, j] *= 1.5
-    after = partition_and_posteriors_many(bumped[None])[1][0, i, j]
+    bumped[i, j - 1] *= 1.5
+    after = partition_and_posteriors_many(bumped[None])[1][0, i, j - 1]
     assert after > before
 
 
 def test_assignment_graph_pulls_model_weights(two_binary_schema):
     model = make_uniform_model(two_binary_schema)
     w = assignment_matrices(model, np.array([0, 1]))[0]
+    assert w.shape == (3, 2)
+    assert w[0, 0] == pytest.approx(0.25)
     assert w[0, 1] == pytest.approx(0.25)
-    assert w[0, 2] == pytest.approx(0.25)
-    assert w[1, 2] == pytest.approx(0.5)
-    assert w[2, 1] == pytest.approx(0.5)
-    np.testing.assert_array_equal(w[:, 0], 0.0)
-    assert w.diagonal().sum() == 0.0
+    assert w[1, 1] == pytest.approx(0.5)
+    assert w[2, 0] == pytest.approx(0.5)
+    assert w[1, 0] + w[2, 1] == 0.0
 
 
 def test_assignment_graph_rejects_incomplete_assignment(two_binary_schema):
@@ -226,23 +224,24 @@ def test_relabelling_nodes_permutes_posteriors(seed, n):
     w = random_graph(rng, n)
     # node k of the relabelled graph is node perm[k] of the original; root stays 0
     perm = np.concatenate([[0], 1 + rng.permutation(n)])
-    relabelled = w[np.ix_(perm, perm)]
+    relabelled = w[np.ix_(perm, perm[1:] - 1)]
     logz, post = partition_and_posteriors_many(np.stack([w, relabelled]))
     assert logz[1] == pytest.approx(logz[0], rel=1e-12)
-    np.testing.assert_allclose(post[1], post[0][np.ix_(perm, perm)], atol=1e-12)
+    np.testing.assert_allclose(post[1], post[0][np.ix_(perm, perm[1:] - 1)], atol=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 100_000), n=st.integers(1, 6))
-def test_column_zero_and_diagonal_are_ignored(seed, n):
+def test_self_loops_are_ignored(seed, n):
     rng = np.random.default_rng(seed)
     w = random_graph(rng, n)
-    np.fill_diagonal(w, 0.0)
-    noisy = w.copy()
-    noisy[:, 0] = rng.uniform(0.01, 5.0, size=n + 1)
-    np.fill_diagonal(noisy, rng.uniform(0.01, 5.0, size=n + 1))
+    loops = (np.arange(1, n + 1), np.arange(n))
+    w[loops] = 0.0
     logz, post = partition_and_posteriors_many(w[None])
-    noisy_logz, noisy_post = partition_and_posteriors_many(noisy[None])
-    np.testing.assert_array_equal(noisy_logz, logz)
-    np.testing.assert_array_equal(log_partition_many(noisy[None]), logz)
-    np.testing.assert_array_equal(noisy_post, post)
+    for fill in (rng.uniform(0.01, 5.0, size=n), np.inf, np.nan, -1.0):
+        noisy = w.copy()
+        noisy[loops] = fill
+        noisy_logz, noisy_post = partition_and_posteriors_many(noisy[None])
+        np.testing.assert_array_equal(noisy_logz, logz)
+        np.testing.assert_array_equal(log_partition_many(noisy[None]), logz)
+        np.testing.assert_array_equal(noisy_post, post)

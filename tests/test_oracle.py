@@ -53,8 +53,8 @@ def test_brute_log_partition_worked_example():
 
 
 def test_brute_log_partition_single_node():
-    w = np.zeros((2, 2))
-    w[0, 1] = 0.7
+    w = np.zeros((2, 1))
+    w[0, 0] = 0.7
     assert brute_log_partition(w) == pytest.approx(math.log(0.7))
 
 
@@ -67,30 +67,29 @@ def test_brute_log_partition_uniform_two_binary():
 
 def test_brute_log_partition_zero_weight_errors():
     with pytest.raises(ValueError):
-        brute_log_partition(np.zeros((3, 3)))
+        brute_log_partition(np.zeros((3, 2)))
 
 
 def test_brute_edge_posteriors_worked_example():
     post = brute_edge_posteriors(worked_graph())
-    assert post[0, 1] == pytest.approx(0.14 / WORKED_Z, rel=1e-12)
-    assert post[0, 2] == pytest.approx(0.21 / WORKED_Z, rel=1e-12)
-    assert post[1, 2] == pytest.approx(0.08 / WORKED_Z, rel=1e-12)
-    assert post[2, 1] == pytest.approx(0.15 / WORKED_Z, rel=1e-12)
+    assert post[0, 0] == pytest.approx(0.14 / WORKED_Z, rel=1e-12)
+    assert post[0, 1] == pytest.approx(0.21 / WORKED_Z, rel=1e-12)
+    assert post[1, 1] == pytest.approx(0.08 / WORKED_Z, rel=1e-12)
+    assert post[2, 0] == pytest.approx(0.15 / WORKED_Z, rel=1e-12)
 
 
 def test_brute_edge_posteriors_single_node():
-    w = np.zeros((2, 2))
-    w[0, 1] = 0.5
-    assert brute_edge_posteriors(w)[0, 1] == pytest.approx(1.0)
+    w = np.zeros((2, 1))
+    w[0, 0] = 0.5
+    assert brute_edge_posteriors(w)[0, 0] == pytest.approx(1.0)
 
 
 def test_brute_edge_posterior_columns_sum_to_one():
     rng = np.random.default_rng(3)
     for n in (2, 3, 4):
-        w = np.zeros((n + 1, n + 1))
-        w[:, 1:] = rng.uniform(0.01, 1.0, size=(n + 1, n))
+        w = rng.uniform(0.01, 1.0, size=(n + 1, n))
         post = brute_edge_posteriors(w)
-        np.testing.assert_allclose(post[:, 1:].sum(axis=0), 1.0, atol=1e-12)
+        np.testing.assert_allclose(post.sum(axis=0), 1.0, atol=1e-12)
 
 
 def test_stop_augmented_joint_adds_stop_terms(two_binary_schema):
