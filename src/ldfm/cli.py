@@ -37,7 +37,7 @@ from .matrix_tree import (
 )
 from .model import MISSING, Variant
 from .oracle import brute_edge_posteriors, brute_log_partition
-from .rng import chain_rngs, make_rng
+from .rng import make_rng
 
 CHECK_TOL = 1e-9
 
@@ -234,9 +234,9 @@ def _cmd_sample(args) -> int:
     model = load_model(args.model)
     schema = model.schema
     config = _sampler_config(args)
-    evidence = np.full((args.chains, schema.n), MISSING, dtype=np.int64)
-    draws = sampling.run_chains(model, evidence, config, chain_rngs(args.seed, args.chains))
-    save_dataset(Dataset(schema, draws.reshape(-1, schema.n)), args.out)
+    evidence = np.full((1, schema.n), MISSING, dtype=np.int64)
+    draws = sampling.run_chains(model, evidence, config, [args.seed])
+    save_dataset(Dataset(schema, draws[0]), args.out)
     return 0
 
 

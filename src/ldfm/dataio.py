@@ -110,29 +110,41 @@ def save_dataset(dataset: Dataset, path) -> None:
 # -- schema sidecar ---------------------------------------------------------
 
 
+def _variables_doc(schema: VariableSchema) -> list[dict]:
+    """The ``variables`` list that schema sidecars and model files store."""
+    return [{"name": name, "domain": list(dom)} for name, dom in schema.variables]
+
+
+def _schema_from_variables(variables) -> VariableSchema:
+    """The schema a stored ``variables`` list describes; anything but the
+    exact shape :func:`_variables_doc` writes raises."""
+    schema = VariableSchema(tuple((v["name"], tuple(v["domain"])) for v in variables))
+    if variables != _variables_doc(schema):
+        raise TypeError("variables must be a list of {name: string, domain: [string, ...]}")
+    return schema
+
+
 def save_schema(schema: VariableSchema, path) -> None:
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "variables": [{"name": name, "domain": list(dom)} for name, dom in schema.variables],
-    }
+    doc = {"format_version": FORMAT_VERSION, "variables": _variables_doc(schema)}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
 
 
 def load_schema(path) -> VariableSchema:
+    """Read a schema sidecar; any defect raises ModelFormatError naming the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"{path}: not a valid schema file ({exc})") from None
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise ModelFormatError(
-            f"{path}: unsupported format_version {doc.get('format_version')!r}"
-        )
-    return VariableSchema(
-        tuple((v["name"], tuple(v["domain"])) for v in doc["variables"])
-    )
+    version = doc.get("format_version") if isinstance(doc, dict) else None
+    if version != FORMAT_VERSION:
+        raise ModelFormatError(f"{path}: unsupported format_version {version!r}")
+    try:
+        return _schema_from_variables(doc["variables"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ModelFormatError(f"{path}: malformed schema ({type(exc).__name__}: {exc})") from None
 
 
 # -- model files ------------------------------------------------------------
@@ -153,7 +165,7 @@ def _model_payload(model: LdfmModel) -> dict:
 
     payload: dict = {
         "variant": model.variant.value,
-        "variables": [{"name": name, "domain": list(dom)} for name, dom in schema.variables],
+        "variables": _variables_doc(schema),
         "root_weights": row_weights(0),
         "weights": {
             names[v]: {
@@ -201,10 +213,7 @@ def _number(value, what: str):
 
 def _model_from_payload(payload: dict, path) -> LdfmModel:
     """The model a payload describes; any structure or type error raises."""
-    variables = payload["variables"]
-    schema = VariableSchema(tuple((v["name"], tuple(v["domain"])) for v in variables))
-    if variables != [{"name": name, "domain": list(dom)} for name, dom in schema.variables]:
-        raise TypeError("variables must be a list of {name: string, domain: [string, ...]}")
+    schema = _schema_from_variables(payload["variables"])
     variant = Variant(payload["variant"])
     k = schema.num_keys
     dep = np.zeros((1 + k, k))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .dataio import Dataset
 from .model import MISSING, LdfmModel, VariableSchema
-from .rng import chain_rngs, make_rng
+from .rng import make_rng
 from .sampling import QueryInstance, SamplerConfig, estimate_cll, estimate_cmll, run_chains
 
 REPORT_FIELDS = (
@@ -104,17 +104,15 @@ def evaluate(
     run in blocks of at most EVAL_BLOCK chains (at least one instance).
     """
     cards = model.schema.cards
-    chains = config.chains
-    per_block = max(1, EVAL_BLOCK // chains)
+    per_block = max(1, EVAL_BLOCK // config.chains)
     t0 = time.perf_counter()
     per_cll, per_cmll = [], []
     for first in range(0, len(instances), per_block):
         block = instances[first : first + per_block]
-        evidence = np.repeat([inst.evidence for inst in block], chains, axis=0)
-        indices = range(first, first + len(block))
-        rngs = [r for idx in indices for r in chain_rngs([config.seed, idx], chains)]
-        draws = run_chains(model, evidence, config, rngs)
-        for instance, samples in zip(block, draws.reshape(len(block), -1, len(cards))):
+        evidence = [inst.evidence for inst in block]
+        seeds = [[config.seed, idx] for idx in range(first, first + len(block))]
+        draws = run_chains(model, evidence, config, seeds)
+        for instance, samples in zip(block, draws):
             per_cll.append(estimate_cll(samples, instance, normalize=True))
             per_cmll.append(estimate_cmll(samples, instance, cards, normalize=True))
         del draws, samples  # free this block's draws before the next block allocates its own

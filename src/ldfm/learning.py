@@ -130,27 +130,12 @@ def _distinct_rows(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return xs[first], counts[order], first
 
 
-def _singular_sample(
-    exc: matrix_tree.SingularLaplacianError, first: np.ndarray
-) -> matrix_tree.SingularLaplacianError:
-    """Name the sample behind a chunk's singular item by its first index."""
-    bad = int(first[exc.index])
-    return matrix_tree.SingularLaplacianError(
-        f"sample {bad} has no positive-weight spanning tree", index=bad
-    )
-
-
-def _chunk_stats(
-    model: LdfmModel, xs: np.ndarray, counts: np.ndarray, first: np.ndarray
-) -> SufficientStats:
+def _chunk_stats(model: LdfmModel, xs: np.ndarray, counts: np.ndarray) -> SufficientStats:
     """Statistics of distinct rows ``xs``, each weighted by its count."""
     schema = model.schema
     k = schema.num_keys
     weights = matrix_tree.assignment_matrices(model, xs)
-    try:
-        logz, post = matrix_tree.partition_and_posteriors_many(weights)
-    except matrix_tree.SingularLaplacianError as exc:
-        raise _singular_sample(exc, first) from exc
+    logz, post = matrix_tree.partition_and_posteriors_many(weights)
 
     rows = schema.assignment_rows(xs)
     # posterior cell (i, j) goes back to the dep cell it was gathered from
@@ -165,16 +150,28 @@ def _chunk_stats(
 
 
 def _map_chunks(fn: Callable, distinct: tuple, workers: int | None) -> list:
-    """``fn(rows, counts, first)`` over fixed-size chunks of distinct rows.
+    """``fn(rows, counts)`` over fixed-size chunks of distinct rows.
 
     Chunk boundaries do not depend on ``workers``, so reducing the results
-    in order gives the same floats for any worker count.
+    in order gives the same floats for any worker count.  A singular chunk
+    item is re-raised naming its sample by first index in the data.
     """
-    jobs = [tuple(a[s : s + CHUNK] for a in distinct) for s in range(0, len(distinct[0]), CHUNK)]
-    if workers is not None and workers > 1 and len(jobs) > 1:
+    rows, counts, first = distinct
+
+    def run(s: int):
+        try:
+            return fn(rows[s : s + CHUNK], counts[s : s + CHUNK])
+        except matrix_tree.SingularLaplacianError as exc:
+            bad = int(first[s + exc.index])
+            raise matrix_tree.SingularLaplacianError(
+                f"sample {bad} has no positive-weight spanning tree", index=bad
+            ) from exc
+
+    starts = range(0, len(rows), CHUNK)
+    if workers is not None and workers > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda job: fn(*job), jobs))
-    return [fn(*job) for job in jobs]
+            return list(pool.map(run, starts))
+    return [run(s) for s in starts]
 
 
 def e_step(model: LdfmModel, data, workers: int | None = None) -> SufficientStats:
@@ -186,26 +183,15 @@ def e_step(model: LdfmModel, data, workers: int | None = None) -> SufficientStat
     return sum(parts[1:], parts[0])
 
 
-def _chunk_loglik(
-    model: LdfmModel, xs: np.ndarray, counts: np.ndarray, first: np.ndarray
-) -> float:
+def _chunk_loglik(model: LdfmModel, xs: np.ndarray, counts: np.ndarray) -> float:
     """Count-weighted log-likelihood of distinct rows from log Z alone."""
-    try:
-        return float(matrix_tree.unnormalized_log_joint_many(model, xs) @ counts)
-    except matrix_tree.SingularLaplacianError as exc:
-        raise _singular_sample(exc, first) from exc
+    return float(matrix_tree.unnormalized_log_joint_many(model, xs) @ counts)
 
 
 def data_log_likelihood(model: LdfmModel, data) -> float:
     """Sum over samples of the log unnormalized joint weight."""
     xs = _as_sample_matrix(data, model.schema)
     return sum(_map_chunks(partial(_chunk_loglik, model), _distinct_rows(xs), None))
-
-
-def _uniform_rows(schema: VariableSchema, variant: Variant) -> tuple[np.ndarray, np.ndarray]:
-    uniform = make_uniform_model(schema, variant)
-    stop = uniform.stop if variant is Variant.STOP_AUGMENTED else None
-    return uniform.dep, stop
 
 
 def m_step(stats: SufficientStats, config: TrainConfig, schema: VariableSchema) -> LdfmModel:
@@ -221,9 +207,6 @@ def m_step(stats: SufficientStats, config: TrainConfig, schema: VariableSchema) 
     if stats.sample_count < 1:
         raise ValueError("stats must cover at least one sample")
     mask = schema.source_mask
-    counts = schema.target_counts
-    variant = config.variant
-
     edge = np.where(mask, stats.edge, 0.0)
     occur = stats.occur.copy()
     if config.smoothing is Smoothing.ADDITIVE and config.eps > 0:
@@ -233,28 +216,21 @@ def m_step(stats: SufficientStats, config: TrainConfig, schema: VariableSchema) 
         edge = np.where(mask, np.maximum(edge - config.kappa, WEIGHT_FLOOR), 0.0)
         occur = np.maximum(occur - config.kappa, WEIGHT_FLOOR)
 
-    uniform_dep, uniform_stop = _uniform_rows(schema, variant)
-    observed = stats.occur > 0
-
-    if variant is Variant.PLAIN:
-        row_mass = edge.sum(axis=1)
-        usable = observed & (row_mass > 0) & (counts > 0)
-        denom = np.where(usable, row_mass, 1.0)
-        dep = np.where(usable[:, None], edge / denom[:, None], uniform_dep)
-        dep = np.where(mask, np.maximum(dep, WEIGHT_FLOOR), 0.0)
-        totals = dep.sum(axis=1)
-        dep = dep / np.where(totals > 0, totals, 1.0)[:, None]
-        return LdfmModel(schema, variant, dep)
-
-    row_mass = edge.sum(axis=1)
-    usable = observed & (occur + row_mass > 0)
-    denom = np.where(usable, occur + row_mass, 1.0)
-    dep = np.where(usable[:, None], edge / denom[:, None], uniform_dep)
-    stop = np.where(usable, occur / denom, uniform_stop)
+    # one ratio for both variants: stop mass competes with the outgoing
+    # mass, and plain has none
+    uniform = make_uniform_model(schema, config.variant)
+    stop_mass = occur if config.variant is Variant.STOP_AUGMENTED else 0.0
+    mass = stop_mass + edge.sum(axis=1)
+    usable = (stats.occur > 0) & (mass > 0)
+    denom = np.where(usable, mass, 1.0)
+    dep = np.where(usable[:, None], edge / denom[:, None], uniform.dep)
     dep = np.where(mask, np.maximum(dep, WEIGHT_FLOOR), 0.0)
-    stop = np.maximum(stop, WEIGHT_FLOOR)
+    if config.variant is Variant.PLAIN:
+        totals = dep.sum(axis=1)
+        return LdfmModel(schema, config.variant, dep / np.where(totals > 0, totals, 1.0)[:, None])
+    stop = np.maximum(np.where(usable, occur / denom, uniform.stop), WEIGHT_FLOOR)
     total = dep.sum(axis=1) + stop
-    return LdfmModel(schema, variant, dep / total[:, None], stop / total)
+    return LdfmModel(schema, config.variant, dep / total[:, None], stop / total)
 
 
 def _log_prior(model: LdfmModel, config: TrainConfig) -> float:

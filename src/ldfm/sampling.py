@@ -226,21 +226,27 @@ def run_chains(
     model: LdfmModel,
     evidence: np.ndarray,
     config: SamplerConfig,
-    rngs: list[np.random.Generator],
+    seeds: list[rng_mod.Seed],
 ) -> np.ndarray:
-    """(C, samples, n) draws of one chain per row of the (C, n) ``evidence``.
+    """(I, chains * samples, n) pooled draws for each row of the (I, n)
+    ``evidence``, in chain order.
 
-    Chain c draws only from ``rngs[c]``, so its draws do not depend on which
-    chains share the call.  Each chain burns in, then records every
-    ``thin``-th state; ``config.chains`` is not read.
+    Row i runs ``config.chains`` chains on the streams
+    ``chain_rngs(seeds[i], config.chains)``, so its draws do not depend on
+    which rows share the call.  Each chain burns in, then records every
+    ``thin``-th state.
     """
     n = model.schema.n
     evidence = np.asarray(evidence, dtype=np.int64)
     if evidence.ndim != 2 or evidence.shape[1] != n:
         raise ValueError("instance does not match the model schema")
+    if len(seeds) != len(evidence):
+        raise ValueError(f"got {len(seeds)} seeds for {len(evidence)} evidence rows")
     gibbs = config.sampler is SamplerKind.GIBBS
     burn_in = config.burn_in if config.burn_in is not None else (10 if gibbs else 100) * n
+    rngs = [r for seed in seeds for r in rng_mod.chain_rngs(seed, config.chains)]
 
+    evidence = np.repeat(evidence, config.chains, axis=0)
     pinned = evidence != MISSING
     values = np.where(pinned, evidence, [r.integers(0, model.schema.cards, size=n) for r in rngs])
     parents = None if gibbs else np.array([random_parent_vector(n, r) for r in rngs])
@@ -253,7 +259,7 @@ def run_chains(
         for _ in range(config.thin):
             step(model, values, pinned, parents, rngs)
         draws[:, s] = values
-    return draws
+    return draws.reshape(len(seeds), config.chains * config.samples, n)
 
 
 def run_chain(
@@ -266,9 +272,8 @@ def run_chain(
 
     The returned array has chains * samples rows in chain order.
     """
-    evidence = np.tile(instance.evidence, (config.chains, 1))
-    rngs = rng_mod.chain_rngs(seed if seed is not None else config.seed, config.chains)
-    return run_chains(model, evidence, config, rngs).reshape(-1, model.schema.n)
+    seed = seed if seed is not None else config.seed
+    return run_chains(model, [instance.evidence], config, [seed])[0]
 
 
 def estimate_cll(

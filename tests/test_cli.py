@@ -381,6 +381,31 @@ def test_query_on_malformed_model_payload_exits_two(tmp_path, capsys, edit):
     assert str(model_path) in err
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [{"name": "A", "domain": ["x", "y"]}],
+        {"format_version": 1},
+        {"format_version": 1, "variables": [{"name": "A", "domain": "xz"}]},
+        {"format_version": 1, "variables": [{"name": "A", "domain": ["x", "x"]}]},
+    ],
+    ids=["top-level-list", "no-variables", "string-domain", "duplicate-labels"],
+)
+def test_train_on_malformed_schema_sidecar_exits_two(tmp_path, capsys, doc):
+    data, schema = tmp_path / "d.csv", tmp_path / "s.json"
+    data.write_text("A\nx\nz\n")
+    schema.write_text(json.dumps(doc))
+    code, out, err = run(
+        capsys,
+        "train", "--data", str(data), "--schema", str(schema),
+        "--out", str(tmp_path / "m.model"), "--iters", "1",
+    )
+    assert code == 2
+    assert out == ""
+    assert str(schema) in err
+    assert "Traceback" not in err
+
+
 def test_eval_with_zero_instances_exits_two(tmp_path, capsys):
     data = tmp_path / "d.csv"
     run(capsys, "gen-data", "--n", "8", "--samples", "60", "--seed", "8", "--out", str(data))

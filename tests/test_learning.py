@@ -18,6 +18,7 @@ from ldfm.learning import (
 )
 from ldfm.matrix_tree import SingularLaplacianError, assignment_matrices
 from ldfm.model import (
+    WEIGHT_FLOOR,
     NodeKey,
     ROOT,
     LdfmModel,
@@ -136,6 +137,25 @@ def test_e_step_singular_index_after_dedup_names_the_first_occurrence(two_binary
     assert info.value.index == 270
 
 
+def test_singular_index_past_the_first_chunk_of_distinct_rows():
+    schema = VariableSchema(tuple((f"X{i}", ("T", "F")) for i in range(10)))
+    dep = make_uniform_model(schema).dep.copy()
+    dep[:, schema.col_of(0, 1)] = 0.0  # no edge into X0=F: such rows are singular
+    model = LdfmModel(schema, Variant.PLAIN, dep)
+    bits = (np.arange(512)[:, None] >> np.arange(9)) & 1
+    fine = np.hstack([np.zeros((512, 1), dtype=np.int64), bits])
+    bad = np.ones((1, 10), dtype=np.int64)
+    data = np.vstack([fine[:300], fine[:100], bad, fine[300:], bad])
+    assert len(_distinct_rows(data)[0]) > CHUNK + 1
+    for workers in (None, 4):
+        with pytest.raises(SingularLaplacianError, match="^sample 400 ") as info:
+            e_step(model, data, workers=workers)
+        assert info.value.index == 400
+    with pytest.raises(SingularLaplacianError, match="^sample 400 ") as info:
+        data_log_likelihood(model, data)
+    assert info.value.index == 400
+
+
 def test_distinct_rows_keep_first_appearance_order():
     xs = np.array([[2, 0], [0, 1], [2, 0], [0, 0], [0, 1], [2, 0]])
     rows, counts, first = _distinct_rows(xs)
@@ -225,6 +245,22 @@ def test_m_step_degenerate_count_concentrates(two_binary_schema):
     assert lookup_weight(new, ROOT, NodeKey(0, 0)) == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("variant", list(Variant))
+def test_m_step_observed_source_without_outgoing_mass_gets_uniform_row(two_binary_schema, variant):
+    s = two_binary_schema
+    stats = SufficientStats.zeros(s)
+    stats.sample_count = 1
+    stats.occur[:] = 1  # every key observed, but only the root sends mass
+    stats.edge[0, s.col_of(0, 0)] = 1.0
+    new = m_step(stats, none_config(variant), s)
+    uniform = make_uniform_model(s, variant)
+    if variant is Variant.PLAIN:
+        np.testing.assert_array_equal(new.dep[1:], uniform.dep[1:])
+    else:  # the stop count is the whole mass: each key stops almost surely
+        np.testing.assert_allclose(new.stop[1:], 1.0, rtol=1e-9)
+    assert np.all(np.isfinite(new.dep))
+
+
 def test_m_step_large_additive_smoothing_approaches_uniform(worked_model, two_binary_schema):
     stats = e_step(worked_model, np.array([[0, 0]]))
     cfg = TrainConfig(smoothing=Smoothing.ADDITIVE, eps=1e7)
@@ -276,6 +312,72 @@ def test_m_step_stop_variant_expected_stop_counts(two_binary_schema):
         out_mass = post[i].sum()
         assert new.stop[rows[i]] == pytest.approx(1.0 / (1.0 + out_mass), abs=1e-9)
     assert validate_model(new, 1e-9) == []
+
+
+def _two_branch_m_step(stats, config, schema):
+    """Reference M-step written once per variant, as before the single ratio."""
+    mask = schema.source_mask
+    counts = schema.target_counts
+    variant = config.variant
+
+    edge = np.where(mask, stats.edge, 0.0)
+    occur = stats.occur.copy()
+    if config.smoothing is Smoothing.ADDITIVE and config.eps > 0:
+        edge = edge + np.where(mask, config.eps, 0.0)
+        occur = occur + config.eps
+    elif config.smoothing is Smoothing.SPARSITY and config.kappa > 0:
+        edge = np.where(mask, np.maximum(edge - config.kappa, WEIGHT_FLOOR), 0.0)
+        occur = np.maximum(occur - config.kappa, WEIGHT_FLOOR)
+
+    uniform = make_uniform_model(schema, variant)
+    observed = stats.occur > 0
+
+    if variant is Variant.PLAIN:
+        row_mass = edge.sum(axis=1)
+        usable = observed & (row_mass > 0) & (counts > 0)
+        denom = np.where(usable, row_mass, 1.0)
+        dep = np.where(usable[:, None], edge / denom[:, None], uniform.dep)
+        dep = np.where(mask, np.maximum(dep, WEIGHT_FLOOR), 0.0)
+        totals = dep.sum(axis=1)
+        return dep / np.where(totals > 0, totals, 1.0)[:, None], None
+
+    row_mass = edge.sum(axis=1)
+    usable = observed & (occur + row_mass > 0)
+    denom = np.where(usable, occur + row_mass, 1.0)
+    dep = np.where(usable[:, None], edge / denom[:, None], uniform.dep)
+    stop = np.where(usable, occur / denom, uniform.stop)
+    dep = np.where(mask, np.maximum(dep, WEIGHT_FLOOR), 0.0)
+    stop = np.maximum(stop, WEIGHT_FLOOR)
+    total = dep.sum(axis=1) + stop
+    return dep / total[:, None], stop / total
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize(
+    "smoothing, eps, kappa",
+    [
+        (Smoothing.NONE, 0.1, 0.5),
+        (Smoothing.ADDITIVE, 0.1, 0.5),
+        (Smoothing.ADDITIVE, 0.0, 0.5),
+        (Smoothing.SPARSITY, 0.1, 0.5),
+        (Smoothing.SPARSITY, 0.1, 0.0),
+    ],
+)
+@pytest.mark.parametrize("n", [1, 4])
+def test_m_step_matches_two_branch_reference(variant, smoothing, eps, kappa, n):
+    rng = np.random.default_rng(91 + n)
+    schema = VariableSchema(tuple((f"X{i}", ("a", "b", "c")) for i in range(n)))
+    model = random_model(rng, schema, variant)
+    stats = e_step(model, rng.integers(0, 2, size=(40, n)))  # value "c" never occurs
+    assert np.any(stats.occur == 0)
+    config = TrainConfig(smoothing=smoothing, eps=eps, kappa=kappa, variant=variant)
+    new = m_step(stats, config, schema)
+    dep, stop = _two_branch_m_step(stats, config, schema)
+    np.testing.assert_array_equal(new.dep, dep)
+    if stop is None:
+        assert new.stop is None
+    else:
+        np.testing.assert_array_equal(new.stop, stop)
 
 
 def test_data_log_likelihood_matches_e_step(worked_model):

@@ -345,17 +345,41 @@ def test_chain_draws_do_not_depend_on_batch_mates(kind):
     a = np.array([MISSING, 2, MISSING, MISSING])
     b = np.array([0, MISSING, MISSING, 1])
     config = SamplerConfig(sampler=kind, samples=30, thin=2, burn_in=10)
-    alone = run_chains(model, a[None], config, [make_rng([5, 0])])
-    paired = run_chains(model, np.stack([a, b]), config, [make_rng([5, 0]), make_rng([5, 1])])
+    alone = run_chains(model, a[None], config, [[5, 0]])
+    paired = run_chains(model, np.stack([a, b]), config, [[5, 0], [5, 1]])
     assert alone.shape == (1, 30, 4)
     np.testing.assert_array_equal(alone[0], paired[0])
     assert np.all(paired[1][:, [0, 3]] == [0, 1])
 
 
+@pytest.mark.parametrize("kind", list(SamplerKind))
+def test_run_chains_pools_each_rows_chains_like_run_chain(kind):
+    rng = np.random.default_rng(41)
+    schema = VariableSchema(tuple((f"X{i}", ("a", "b", "c")) for i in range(4)))
+    model = random_model(rng, schema)
+    evidence = np.array([[MISSING, 2, MISSING, MISSING], [0, MISSING, 1, MISSING]])
+    config = SamplerConfig(sampler=kind, samples=15, thin=2, burn_in=5, chains=2)
+    seeds = [[9, 0], [9, 1]]
+    draws = run_chains(model, evidence, config, seeds)
+    assert draws.shape == (2, 30, 4)
+    assert np.all(draws[0][:, 1] == 2) and np.all(draws[1][:, [0, 2]] == [0, 1])
+    for i, row in enumerate(evidence):
+        inst = QueryInstance(query=np.array([MISSING, MISSING, MISSING, 0]), evidence=row)
+        np.testing.assert_array_equal(draws[i], run_chain(model, inst, config, seed=seeds[i]))
+    alone = run_chains(model, evidence[1:], config, seeds[1:])
+    np.testing.assert_array_equal(alone[0], draws[1])
+
+
+def test_run_chains_rejects_seed_count_mismatch(two_binary_schema):
+    model = make_uniform_model(two_binary_schema)
+    with pytest.raises(ValueError, match="1 seeds for 2 evidence rows"):
+        run_chains(model, np.full((2, 2), MISSING), SamplerConfig(chains=2), [0])
+
+
 def test_run_chains_rejects_schema_mismatch(two_binary_schema):
     model = make_uniform_model(two_binary_schema)
     with pytest.raises(ValueError, match="schema"):
-        run_chains(model, np.full((1, 3), MISSING), SamplerConfig(), [make_rng(0)])
+        run_chains(model, np.full((1, 3), MISSING), SamplerConfig(), [0])
 
 
 def test_estimate_cll_counts(two_binary_schema):
