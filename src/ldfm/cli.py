@@ -160,6 +160,8 @@ def _parse_bindings(schema, text: str) -> np.ndarray:
             raise DatasetFormatError(f"binding {item!r} is not VAR=VALUE")
         name, label = item.split("=", 1)
         var = schema.var_index(name.strip())
+        if out[var] != MISSING:
+            raise DatasetFormatError(f"variable {name.strip()} is bound more than once")
         out[var] = schema.value_index(var, label.strip())
     return out
 

@@ -16,6 +16,9 @@ logs are added back, which keeps pivots near one even when raw weights are
 ~1/total-keys and the determinant would underflow a double.
 
 Every function works on a leading batch axis; pass ``w[None]`` for one graph.
+``log_partition_many`` and ``unnormalized_log_joint_many`` give an item the
+same bits whatever else is in its batch, so a caller may score a row alone,
+in any batch, or remember its score.
 """
 
 from __future__ import annotations
@@ -91,8 +94,11 @@ def _log_det_scaled(q0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     safe = np.where(diag > PIVOT_FLOOR, diag, 1.0)
     q0 /= safe[..., None, :]
     sign, logdet = np.linalg.slogdet(q0)
+    # a batch's diagonals come out column-major, so a row sum would add
+    # left to right there but in numpy's unrolled order for a lone
+    # (contiguous) row; cumsum adds left to right for any batch size
     with np.errstate(divide="ignore"):
-        log_scale = np.where(ok, np.log(safe).sum(axis=-1), -np.inf)
+        log_scale = np.where(ok, np.log(safe).cumsum(axis=-1)[..., -1], -np.inf)
     ok = ok & (sign > 0) & np.isfinite(logdet)
     return logdet + log_scale, ok, q0, safe
 

@@ -1,8 +1,14 @@
 """MCMC query answering: value-wise Gibbs and tree-augmented sampling.
 
 Gibbs resamples one variable at a time from the conditional implied by the
-unnormalized joint, costing one determinant per candidate value.  The
-tree-augmented chain keeps the latent spanning tree as an auxiliary
+unnormalized joint, costing one determinant per distinct candidate row:
+each ``run_chains`` call keeps a memo from candidate row to log joint, so a
+row seen before in the call is read back rather than rescored.  The memo
+holds at most MEMO_CAP entries, is cleared when it would pass them, and
+dies with the call, so its size does not grow with the number of
+instances; it leaves every draw unchanged.
+
+The tree-augmented chain keeps the latent spanning tree as an auxiliary
 variable and resamples one node's (value, parent) pair per step, excluding
 the node's own subtree as parents so the tree stays acyclic.
 ``run_chains`` advances many chains as one (C, n) state, each chain on its
@@ -23,6 +29,11 @@ import numpy as np
 from . import matrix_tree, rng as rng_mod
 from .matrix_tree import SingularLaplacianError
 from .model import MISSING, LdfmModel, Variant
+
+
+# Most entries a Gibbs log-joint memo holds (about 2 MiB of row keys and
+# scores at n = 20); a memo about to pass it is cleared.
+MEMO_CAP = 1 << 14
 
 
 class SamplerKind(enum.Enum):
@@ -139,25 +150,55 @@ def _draw_rows(logw: np.ndarray, rngs: list, error: Callable[[int], str]) -> np.
     return (cdf <= u[:, None]).sum(axis=1)
 
 
+def _memo_log_joints(model: LdfmModel, candidates: np.ndarray, memo: dict) -> np.ndarray:
+    """Log joints of the complete (R, n) rows ``candidates``.
+
+    Rows found in ``memo`` (keyed by a row's bytes) are read from it; the
+    distinct rows it lacks are scored in one batched call and stored.  If
+    they would take the memo past MEMO_CAP entries it is cleared and the
+    whole batch rescored; a batch with more distinct rows than the cap is
+    scored without being stored.  Exact because a row's log joint does not
+    depend on the rows scored with it.
+    """
+    row_bytes = np.dtype((np.void, candidates.itemsize * candidates.shape[1]))
+    keys = candidates.view(row_bytes).ravel().tolist()
+    new = {key: row for row, key in enumerate(keys) if key not in memo}
+    if len(memo) + len(new) > MEMO_CAP:
+        memo.clear()
+        new = dict(zip(keys, range(len(keys))))
+    table = memo if len(new) <= MEMO_CAP else {}
+    if new:
+        scored = matrix_tree.unnormalized_log_joint_many(
+            model, candidates[list(new.values())], on_singular="neginf"
+        )
+        table.update(zip(new, scored.tolist()))
+    return np.fromiter(map(table.__getitem__, keys), np.float64, len(keys))
+
+
 def gibbs_sweep(
-    model: LdfmModel, values: np.ndarray, pinned: np.ndarray, parents: None, rngs: list
+    model: LdfmModel, values: np.ndarray, pinned: np.ndarray, memo: dict | None, rngs: list
 ) -> None:
     """Resample every non-evidence variable of every chain in turn, in place.
 
     ``values`` and ``pinned`` are (C, n); chain c draws from ``rngs[c]``.
-    Each variable costs one batched log-joint call over the candidate
-    values of every chain where it is free.  ``parents`` is unused.
+    Each variable scores the candidate values of every chain where it is
+    free; ``memo`` maps candidate rows already scored to their log joint,
+    so only the distinct rows it lacks cost a determinant, in one batched
+    call.  ``run_chains`` passes one memo for all its sweeps; None starts
+    an empty one for this sweep.
     """
+    memo = {} if memo is None else memo
+    # candidate rows in the narrowest type that holds every value index, so
+    # the memo's keys (their bytes) are short
+    narrow = np.min_scalar_type(int(model.schema.cards.max()) - 1)
     for var in range(model.schema.n):
         free = np.nonzero(~pinned[:, var])[0]
         if free.size == 0:
             continue
         card = int(model.schema.cards[var])
-        candidates = np.repeat(values[free], card, axis=0)
+        candidates = np.repeat(values[free].astype(narrow), card, axis=0)
         candidates[:, var] = np.tile(np.arange(card), free.size)
-        logp = matrix_tree.unnormalized_log_joint_many(
-            model, candidates, on_singular="neginf"
-        ).reshape(free.size, card)
+        logp = _memo_log_joints(model, candidates, memo).reshape(free.size, card)
         error = f"every value of variable {var} has zero conditional probability"
         values[free, var] = _draw_rows(logp, [rngs[c] for c in free], lambda row: error)
 
@@ -242,22 +283,28 @@ def run_chains(
         raise ValueError("instance does not match the model schema")
     if len(seeds) != len(evidence):
         raise ValueError(f"got {len(seeds)} seeds for {len(evidence)} evidence rows")
+    pinned = evidence != MISSING
+    if np.any(pinned & ((evidence < 0) | (evidence >= model.schema.cards))):
+        raise ValueError("evidence value index out of range")
     gibbs = config.sampler is SamplerKind.GIBBS
     burn_in = config.burn_in if config.burn_in is not None else (10 if gibbs else 100) * n
     rngs = [r for seed in seeds for r in rng_mod.chain_rngs(seed, config.chains)]
 
     evidence = np.repeat(evidence, config.chains, axis=0)
-    pinned = evidence != MISSING
+    pinned = np.repeat(pinned, config.chains, axis=0)
     values = np.where(pinned, evidence, [r.integers(0, model.schema.cards, size=n) for r in rngs])
-    parents = None if gibbs else np.array([random_parent_vector(n, r) for r in rngs])
-    step = gibbs_sweep if gibbs else tree_augmented_step
+    # the kernel's own state: the call's log-joint memo, or each chain's tree
+    if gibbs:
+        step, aux = gibbs_sweep, {}
+    else:
+        step, aux = tree_augmented_step, np.array([random_parent_vector(n, r) for r in rngs])
 
     draws = np.empty((len(rngs), config.samples, n), dtype=np.int64)
     for _ in range(burn_in):
-        step(model, values, pinned, parents, rngs)
+        step(model, values, pinned, aux, rngs)
     for s in range(config.samples):
         for _ in range(config.thin):
-            step(model, values, pinned, parents, rngs)
+            step(model, values, pinned, aux, rngs)
         draws[:, s] = values
     return draws.reshape(len(seeds), config.chains * config.samples, n)
 

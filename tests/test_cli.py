@@ -305,6 +305,21 @@ def test_bad_query_binding_exits_two(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "bindings",
+    [("--query", "X1=T,X1=F"), ("--query", "X1=T", "--evidence", "X2=F, X2=T")],
+)
+def test_variable_bound_twice_exits_two(tmp_path, capsys, bindings):
+    schema = VariableSchema((("X1", ("T", "F")), ("X2", ("T", "F"))))
+    model_path = tmp_path / "m.model"
+    save_model(make_uniform_model(schema), model_path)
+    code, out, err = run(capsys, "query", "--model", str(model_path), *bindings, "--seed", "1")
+    assert code == 2
+    assert out == ""
+    twice = "X1" if len(bindings) == 2 else "X2"
+    assert f"variable {twice} is bound more than once" in err
+
+
 def test_impossible_evidence_exits_three(tmp_path, capsys):
     # model in which X1 can only ever take its first value: evidence X1=F
     # leaves every candidate assignment with zero weight

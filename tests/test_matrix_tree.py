@@ -15,10 +15,10 @@ from ldfm.matrix_tree import (
     partition_and_posteriors_many,
     unnormalized_log_joint_many,
 )
-from ldfm.model import Variant, VariableSchema, make_uniform_model
+from ldfm.model import LdfmModel, Variant, VariableSchema, make_uniform_model
 from ldfm.oracle import brute_edge_posteriors, brute_log_partition
 
-from conftest import WORKED_Z, worked_graph
+from conftest import WORKED_Z, random_model, random_schema, worked_graph
 
 
 def random_graph(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -245,3 +245,34 @@ def test_self_loops_are_ignored(seed, n):
         np.testing.assert_array_equal(noisy_logz, logz)
         np.testing.assert_array_equal(log_partition_many(noisy[None]), logz)
         np.testing.assert_array_equal(noisy_post, post)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 100_000),
+    n=st.integers(1, 12),
+    batch=st.integers(1, 40),
+    variant=st.sampled_from(list(Variant)),
+    zero_frac=st.sampled_from([0.0, 0.2, 0.6]),
+)
+def test_log_joint_rows_do_not_depend_on_batch_mates(seed, n, batch, variant, zero_frac):
+    # a memo that scores a row once and reuses it is only exact if this holds
+    rng = np.random.default_rng(seed)
+    schema = random_schema(rng, n)
+    base = random_model(rng, schema, variant)
+    dep = np.where(rng.random(base.dep.shape) < zero_frac, 0.0, base.dep)
+    dep[:, 0] = 0.0  # key <X1, v0> has no incoming edge: those rows score -inf
+    model = LdfmModel(schema, variant, dep, base.stop)
+    pool = rng.integers(0, schema.cards, size=(max(1, batch // 2), n))
+    pool[0, 0] = 0
+    xs = pool[rng.permutation(np.arange(batch) % len(pool))]  # shuffled, with repeats
+
+    batched = unnormalized_log_joint_many(model, xs, on_singular="neginf")
+    assert np.isneginf(batched[xs[:, 0] == 0]).all()
+    for x, got in zip(xs, batched):
+        alone = unnormalized_log_joint_many(model, x[None], on_singular="neginf")
+        np.testing.assert_array_equal(alone, [got])
+    perm = rng.permutation(len(xs))
+    np.testing.assert_array_equal(
+        unnormalized_log_joint_many(model, xs[perm], on_singular="neginf"), batched[perm]
+    )

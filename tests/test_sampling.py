@@ -3,13 +3,22 @@ import math
 import numpy as np
 import pytest
 
+from ldfm import matrix_tree, sampling
 from ldfm.learning import Smoothing, TrainConfig, train_em
 from ldfm.matrix_tree import (
     SingularLaplacianError,
     assignment_matrices,
     partition_and_posteriors_many,
 )
-from ldfm.model import MISSING, NodeKey, ROOT, Variant, VariableSchema, make_uniform_model
+from ldfm.model import (
+    MISSING,
+    ROOT,
+    LdfmModel,
+    NodeKey,
+    Variant,
+    VariableSchema,
+    make_uniform_model,
+)
 from ldfm.oracle import exact_conditional, logsumexp
 from ldfm.rng import chain_rngs, make_rng
 from ldfm.sampling import (
@@ -370,10 +379,112 @@ def test_run_chains_pools_each_rows_chains_like_run_chain(kind):
     np.testing.assert_array_equal(alone[0], draws[1])
 
 
+def _memo_test_draws(model: LdfmModel, chains: int) -> np.ndarray:
+    evidence = np.full((2, model.schema.n), MISSING)
+    evidence[1, 2] = 1
+    config = SamplerConfig(samples=25, thin=2, burn_in=5, chains=chains)
+    return run_chains(model, evidence, config, [[3, 0], [3, 1]])
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("chains", [1, 3])
+@pytest.mark.parametrize("cap", [1, 3])
+def test_gibbs_memo_cap_does_not_change_draws(monkeypatch, variant, chains, cap):
+    rng = np.random.default_rng(61)
+    model = random_model(rng, random_schema(rng, 5), variant)
+    default = _memo_test_draws(model, chains)
+
+    sizes = []
+    memo_log_joints = sampling._memo_log_joints
+
+    def watched(model, candidates, memo):
+        out = memo_log_joints(model, candidates, memo)
+        sizes.append(len(memo))
+        return out
+
+    monkeypatch.setattr(sampling, "MEMO_CAP", cap)
+    monkeypatch.setattr(sampling, "_memo_log_joints", watched)
+    np.testing.assert_array_equal(_memo_test_draws(model, chains), default)
+    assert 0 < len(sizes) and max(sizes) <= cap
+    if cap == 3 and chains == 1:  # X3 is free in one chain: 2 or 3 rows, stored
+        assert max(sizes) > 0
+
+
+def _memoless_gibbs_sweep(model, values, pinned, rngs):
+    """The Gibbs sweep without a memo: every candidate row scored afresh."""
+    for var in range(model.schema.n):
+        free = np.nonzero(~pinned[:, var])[0]
+        if free.size == 0:
+            continue
+        card = int(model.schema.cards[var])
+        candidates = np.repeat(values[free], card, axis=0)
+        candidates[:, var] = np.tile(np.arange(card), free.size)
+        logp = matrix_tree.unnormalized_log_joint_many(model, candidates, on_singular="neginf")
+        error = lambda row: "every value has zero weight"
+        picked = _draw_rows(logp.reshape(free.size, card), [rngs[c] for c in free], error)
+        values[free, var] = picked
+
+
+@pytest.mark.parametrize("cards", [(3, 2, 3, 2), (300, 2, 3)])
+@pytest.mark.parametrize("variant", list(Variant))
+def test_gibbs_sweeps_sharing_a_memo_match_memoless_sweeps(cards, variant):
+    # 300 values need two bytes per value index in the memo's keys
+    schema = VariableSchema(
+        tuple((f"X{i}", tuple(f"v{j}" for j in range(c))) for i, c in enumerate(cards))
+    )
+    rng = np.random.default_rng(71)
+    model = random_model(rng, schema, variant)
+    values = np.stack([rng.integers(0, schema.cards) for _ in range(3)])
+    pinned = np.zeros_like(values, dtype=bool)
+    pinned[1, 1] = True
+    expected = values.copy()
+    memo = {}
+    rngs, expected_rngs = chain_rngs(8, 3), chain_rngs(8, 3)
+    for _ in range(15):
+        gibbs_sweep(model, values, pinned, memo, rngs)
+        _memoless_gibbs_sweep(model, expected, pinned, expected_rngs)
+        np.testing.assert_array_equal(values, expected)
+    assert memo
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_gibbs_memo_scores_each_distinct_row_once(monkeypatch, variant):
+    rng = np.random.default_rng(67)
+    model = random_model(rng, random_schema(rng, 5), variant)
+    scored = []
+    score = matrix_tree.unnormalized_log_joint_many
+
+    def counting(model, xs, on_singular="raise"):
+        scored.extend(map(bytes, xs))
+        return score(model, xs, on_singular=on_singular)
+
+    monkeypatch.setattr(matrix_tree, "unnormalized_log_joint_many", counting)
+    draws = _memo_test_draws(model, 3)
+    memo_rows = list(scored)
+    assert len(set(memo_rows)) == len(memo_rows)
+
+    # a cap of 1 stores nothing, so every sweep scores each of its distinct
+    # candidate rows: together, every candidate row of the run
+    scored.clear()
+    monkeypatch.setattr(sampling, "MEMO_CAP", 1)
+    np.testing.assert_array_equal(_memo_test_draws(model, 3), draws)
+    assert set(scored) == set(memo_rows)
+    assert len(scored) > 3 * len(memo_rows)
+
+
 def test_run_chains_rejects_seed_count_mismatch(two_binary_schema):
     model = make_uniform_model(two_binary_schema)
     with pytest.raises(ValueError, match="1 seeds for 2 evidence rows"):
         run_chains(model, np.full((2, 2), MISSING), SamplerConfig(chains=2), [0])
+
+
+@pytest.mark.parametrize("kind", list(SamplerKind))
+@pytest.mark.parametrize("bad", [2, 256, -3])
+def test_run_chains_rejects_evidence_value_out_of_range(two_binary_schema, kind, bad):
+    model = make_uniform_model(two_binary_schema)
+    config = SamplerConfig(sampler=kind, samples=3, burn_in=1)
+    with pytest.raises(ValueError, match="evidence value index out of range"):
+        run_chains(model, np.array([[MISSING, bad]]), config, [0])
 
 
 def test_run_chains_rejects_schema_mismatch(two_binary_schema):
