@@ -36,7 +36,7 @@ from .matrix_tree import (
     partition_and_posteriors_many,
 )
 from .model import MISSING, Variant
-from .oracle import brute_edge_posteriors, brute_log_partition
+from .oracle import MAX_TREE_N, brute_edge_posteriors, brute_log_partition
 from .rng import make_rng
 
 CHECK_TOL = 1e-9
@@ -167,6 +167,8 @@ def _parse_bindings(schema, text: str) -> np.ndarray:
 
 
 def _cmd_train(args) -> int:
+    if args.workers is not None and args.workers < 1:  # None: os.cpu_count() unknown
+        raise ValueError(f"--workers must be at least 1, got {args.workers}")
     schema = load_schema(args.schema) if args.schema else None
     dataset = load_dataset(args.data, schema=schema)
     if schema is None:
@@ -252,6 +254,10 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if not 1 <= args.n <= MAX_TREE_N:
+        raise ValueError(f"--n must be between 1 and {MAX_TREE_N}, got {args.n}")
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     rng = make_rng(args.seed)
     n = args.n
     worst_logz = 0.0

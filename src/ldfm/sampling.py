@@ -1,26 +1,33 @@
 """MCMC query answering: value-wise Gibbs and tree-augmented sampling.
 
 Gibbs resamples one variable at a time from the conditional implied by the
-unnormalized joint, costing one determinant per distinct candidate row:
-each ``run_chains`` call keeps a memo from candidate row to log joint, so a
-row seen before in the call is read back rather than rescored.  The memo
-holds at most MEMO_CAP entries, is cleared when it would pass them, and
-dies with the call, so its size does not grow with the number of
+unnormalized joint, costing one determinant per distinct candidate row.
+Each ``run_chains`` call keeps a two-layer memo: a variable's normalised
+conditional CDF per recurring context (the chain's row with that
+variable's slot blanked), and under it the log joint of every candidate
+row already scored.  A warm variable step is a dictionary lookup and a
+bisection; a missed context scores only the candidate rows the row layer
+lacks.  The memo holds at most MEMO_CAP floats over both layers (one per
+row, the domain size per conditional), is cleared when it would pass them,
+and dies with the call, so its size does not grow with the number of
 instances; it leaves every draw unchanged.
+Each chain draws the uniforms of a sweep in one generator call, the same
+doubles one call per variable would give.
 
 The tree-augmented chain keeps the latent spanning tree as an auxiliary
 variable and resamples one node's (value, parent) pair per step, excluding
 the node's own subtree as parents so the tree stays acyclic.
 ``run_chains`` advances many chains as one (C, n) state, each chain on its
 own random stream: a Gibbs variable or a tree step is one batched set of
-array operations over all chains, and every chain draws through one batched
-``_draw_rows``.  Query probabilities are estimated from the recorded value
-vectors alone.
+array operations over all chains, and both kernels normalise their weights
+through one ``_row_cdfs``.  Query probabilities are estimated from the
+recorded value vectors alone.
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
@@ -31,8 +38,9 @@ from .matrix_tree import SingularLaplacianError
 from .model import MISSING, LdfmModel, Variant
 
 
-# Most entries a Gibbs log-joint memo holds (about 2 MiB of row keys and
-# scores at n = 20); a memo about to pass it is cleared.
+# Most floats a Gibbs memo stores over both layers, one per row log joint
+# and a domain size per conditional (about 2 MiB at n = 20); a memo about
+# to pass it is cleared.
 MEMO_CAP = 1 << 14
 
 
@@ -126,15 +134,14 @@ def is_rooted_tree(parents) -> bool:
     return True
 
 
-def _draw_rows(logw: np.ndarray, rngs: list, error: Callable[[int], str]) -> np.ndarray:
-    """One index per row of the (R, k) ``logw``, drawn with probability
-    proportional to exp(row) from ``rngs[row]``.
+def _row_cdfs(logw: np.ndarray, error: Callable[[int], str]) -> np.ndarray:
+    """The normalised CDF of each row of the (R, k) ``logw``, each row's
+    weights being proportional to exp(row).
 
-    Each row consumes one ``random()`` double and yields the index that
-    ``rngs[row].choice(k, p=p)`` would for the row's normalised weights p:
-    the CDF is normalised as ``choice`` does and searched on the right.
-    Raises SingularLaplacianError(error(row)) for the first row whose
-    weights are all zero.
+    The CDF is normalised as ``Generator.choice`` does, so the first index
+    whose CDF passes a uniform u is the one ``choice`` would draw.  Raises
+    SingularLaplacianError(error(row)) for the first row whose weights are
+    all zero.
     """
     m = logw.max(axis=1, keepdims=True)
     with np.errstate(invalid="ignore"):
@@ -146,25 +153,51 @@ def _draw_rows(logw: np.ndarray, rngs: list, error: Callable[[int], str]) -> np.
     p /= p.sum(axis=1, keepdims=True)
     cdf = p.cumsum(axis=1)
     cdf /= cdf[:, -1:]
+    return cdf
+
+
+def _draw_rows(logw: np.ndarray, rngs: list, error: Callable[[int], str]) -> np.ndarray:
+    """One index per row of the (R, k) ``logw``, drawn with probability
+    proportional to exp(row) from ``rngs[row]``.
+
+    Each row consumes one ``random()`` double and yields the index that
+    ``rngs[row].choice(k, p=p)`` would for the row's normalised weights p
+    (see ``_row_cdfs``, which raises for an all-zero row).
+    """
+    cdf = _row_cdfs(logw, error)
     u = np.array([rng.random() for rng in rngs])
     return (cdf <= u[:, None]).sum(axis=1)
 
 
-def _memo_log_joints(model: LdfmModel, candidates: np.ndarray, memo: dict) -> np.ndarray:
-    """Log joints of the complete (R, n) rows ``candidates``.
+def _make_room(memo: dict, cards: list, floats: int) -> bool:
+    """Clear the Gibbs ``memo`` if storing ``floats`` more would take it
+    past MEMO_CAP, and return whether it did.  A row entry stores one float
+    and an entry of ``memo[var]`` stores ``cards[var]``."""
+    layers = [var for var in range(len(cards)) if var in memo]
+    stored = len(memo) - len(layers) + sum(cards[var] * len(memo[var]) for var in layers)
+    if stored + floats <= MEMO_CAP:
+        return False
+    memo.clear()
+    return True
+
+
+def _memo_log_joints(
+    model: LdfmModel, candidates: np.ndarray, memo: dict
+) -> tuple[np.ndarray, int]:
+    """Log joints of the complete (R, n) rows ``candidates``, and how many
+    rows had to be scored.
 
     Rows found in ``memo`` (keyed by a row's bytes) are read from it; the
     distinct rows it lacks are scored in one batched call and stored.  If
-    they would take the memo past MEMO_CAP entries it is cleared and the
-    whole batch rescored; a batch with more distinct rows than the cap is
-    scored without being stored.  Exact because a row's log joint does not
-    depend on the rows scored with it.
+    they would take the memo past MEMO_CAP stored floats it is cleared and
+    the whole batch rescored; a batch with more distinct rows than the cap
+    is scored without being stored.  Exact because a row's log joint does
+    not depend on the rows scored with it.
     """
     row_bytes = np.dtype((np.void, candidates.itemsize * candidates.shape[1]))
     keys = candidates.view(row_bytes).ravel().tolist()
     new = {key: row for row, key in enumerate(keys) if key not in memo}
-    if len(memo) + len(new) > MEMO_CAP:
-        memo.clear()
+    if _make_room(memo, model.schema.cards.tolist(), len(new)):
         new = dict(zip(keys, range(len(keys))))
     table = memo if len(new) <= MEMO_CAP else {}
     if new:
@@ -172,7 +205,35 @@ def _memo_log_joints(model: LdfmModel, candidates: np.ndarray, memo: dict) -> np
             model, candidates[list(new.values())], on_singular="neginf"
         )
         table.update(zip(new, scored.tolist()))
-    return np.fromiter(map(table.__getitem__, keys), np.float64, len(keys))
+    return np.fromiter(map(table.__getitem__, keys), np.float64, len(keys)), len(new)
+
+
+def _fill_conditionals(
+    model: LdfmModel, var: int, contexts: np.ndarray, keys: list, cdfs: list, memo: dict
+) -> list:
+    """``cdfs`` with every None replaced by the conditional CDF of ``var``
+    in the matching row of ``contexts``, whose bytes are ``keys``.
+
+    Each distinct missed context builds its candidate rows, which are
+    scored through the row layer.  The new CDFs are stored in ``memo[var]``
+    (clearing the memo first if they would pass MEMO_CAP) only when the row
+    layer already held every candidate row: their contexts were seen
+    before, so they are likely to recur.  In a large state space most
+    contexts never recur, and storing them all only churns the memo.  The
+    rows held number at least the floats the CDFs need, so the CDFs fit
+    under MEMO_CAP.
+    """
+    missed = {key: row for row, (key, cdf) in enumerate(zip(keys, cdfs)) if cdf is None}
+    card = int(model.schema.cards[var])
+    candidates = np.repeat(contexts[list(missed.values())], card, axis=0)
+    candidates.reshape(len(missed), card, -1)[:, :, var] = np.arange(card)
+    logp, scored = _memo_log_joints(model, candidates, memo)
+    error = f"every value of variable {var} has zero conditional probability"
+    new = dict(zip(missed, _row_cdfs(logp.reshape(-1, card), lambda row: error).tolist()))
+    if scored == 0:
+        _make_room(memo, model.schema.cards.tolist(), card * len(new))
+        memo.setdefault(var, {}).update(new)
+    return list(map(new.get, keys, cdfs))  # a stored CDF's key is not in new
 
 
 def gibbs_sweep(
@@ -180,27 +241,40 @@ def gibbs_sweep(
 ) -> None:
     """Resample every non-evidence variable of every chain in turn, in place.
 
-    ``values`` and ``pinned`` are (C, n); chain c draws from ``rngs[c]``.
-    Each variable scores the candidate values of every chain where it is
-    free; ``memo`` maps candidate rows already scored to their log joint,
-    so only the distinct rows it lacks cost a determinant, in one batched
-    call.  ``run_chains`` passes one memo for all its sweeps; None starts
-    an empty one for this sweep.
+    ``values`` and ``pinned`` are (C, n); chain c draws from ``rngs[c]``,
+    taking the uniforms of all its free variables in one ``random(k)`` call
+    at the start of the sweep.  ``memo`` holds both memo layers:
+    ``memo[var]`` maps a context (a chain's row with var's slot blanked, as
+    bytes) to var's normalised conditional CDF, and every other key is a
+    candidate row's bytes mapped to its log joint.  A chain whose context
+    is stored draws by bisecting that CDF; the distinct missed contexts
+    score only the candidate rows the memo lacks, in one batched call, and
+    are stored if they had all been seen before (see
+    ``_fill_conditionals``).  The two layers together hold at most
+    MEMO_CAP floats.  ``run_chains`` passes one memo for all its sweeps;
+    None starts an empty one for this sweep.
     """
     memo = {} if memo is None else memo
-    # candidate rows in the narrowest type that holds every value index, so
-    # the memo's keys (their bytes) are short
+    # rows in the narrowest type that holds every value index, so the memo's
+    # keys (their bytes) are short
     narrow = np.min_scalar_type(int(model.schema.cards.max()) - 1)
+    row_bytes = np.dtype((np.void, narrow.itemsize * model.schema.n))
+    free_mask = ~pinned
+    uniforms = np.zeros(values.shape)
+    uniforms[free_mask] = np.concatenate(
+        [rng.random(k) for rng, k in zip(rngs, free_mask.sum(axis=1).tolist())]
+    )
     for var in range(model.schema.n):
-        free = np.nonzero(~pinned[:, var])[0]
+        free = np.nonzero(free_mask[:, var])[0]
         if free.size == 0:
             continue
-        card = int(model.schema.cards[var])
-        candidates = np.repeat(values[free].astype(narrow), card, axis=0)
-        candidates[:, var] = np.tile(np.arange(card), free.size)
-        logp = _memo_log_joints(model, candidates, memo).reshape(free.size, card)
-        error = f"every value of variable {var} has zero conditional probability"
-        values[free, var] = _draw_rows(logp, [rngs[c] for c in free], lambda row: error)
+        contexts = values[free].astype(narrow)
+        contexts[:, var] = 0
+        keys = contexts.view(row_bytes).ravel().tolist()
+        cdfs = list(map(memo.get(var, {}).get, keys))
+        if None in cdfs:
+            cdfs = _fill_conditionals(model, var, contexts, keys, cdfs, memo)
+        values[free, var] = list(map(bisect_right, cdfs, uniforms[free, var].tolist()))
 
 
 def tree_augmented_step(

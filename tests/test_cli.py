@@ -46,6 +46,23 @@ def test_check_output_is_reproducible(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--n", "0"), "--n must be between 1 and 8, got 0"),
+        (("--n", "9"), "--n must be between 1 and 8, got 9"),
+        (("--n", "3", "--trials", "0"), "--trials must be at least 1, got 0"),
+        (("--n", "3", "--trials", "-2"), "--trials must be at least 1, got -2"),
+    ],
+)
+def test_check_rejects_out_of_range_n_and_trials(capsys, flags, message):
+    code, out, err = run(capsys, "check", *flags, "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_gen_data_writes_rows_and_sidecar(tmp_path, capsys):
     data = tmp_path / "d.csv"
     schema = tmp_path / "s.json"
@@ -75,6 +92,21 @@ def test_train_writes_model_and_progress_lines(tmp_path, capsys):
     assert "iter=3 ll=" in err
     model = load_model(model_path)
     assert model.variant is Variant.PLAIN
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_train_rejects_workers_below_one(tmp_path, capsys, workers):
+    data = tmp_path / "d.csv"
+    run(capsys, "gen-data", "--n", "8", "--samples", "50", "--seed", "4", "--out", str(data))
+    model_path = tmp_path / "m.model"
+    code, _, err = run(
+        capsys,
+        "train", "--data", str(data), "--out", str(model_path), "--iters", "1",
+        "--workers", workers,
+    )
+    assert code == 2
+    assert f"--workers must be at least 1, got {workers}" in err
+    assert not model_path.exists()
 
 
 def test_train_stop_variant(tmp_path, capsys):

@@ -256,6 +256,24 @@ def test_gibbs_error_in_a_batch_with_one_impossible_chain(two_binary_schema):
         gibbs_sweep(model, values, pinned, None, chain_rngs(0, 2))
 
 
+def test_gibbs_zero_uniform_never_draws_an_impossible_value(two_binary_schema):
+    x1t, x2f = NodeKey(0, 0), NodeKey(1, 1)
+    # X2=T (value 0) gets no weight, so X2's conditional CDF starts at 0.0
+    model = model_from_weights(
+        two_binary_schema, {(ROOT, x1t): 0.5, (ROOT, x2f): 0.5, (x1t, x2f): 1.0, (x2f, x1t): 1.0}
+    )
+
+    class ZeroStream:
+        def random(self, size):
+            return np.zeros(size)
+
+    values, memo = np.array([[0, 1]]), {}
+    for _ in range(3):  # scored, then stored, then read from the memo
+        gibbs_sweep(model, values, np.zeros((1, 2), dtype=bool), memo, [ZeroStream()])
+        np.testing.assert_array_equal(values, [[0, 1]])
+    assert 1 in memo
+
+
 def _draw_test_rows(rng):
     rows = [rng.normal(scale=rng.choice([0.1, 1.0, 30.0]), size=k) for k in (1, 2, 3, 7, 8, 9, 40)]
     for k in (3, 12, 36):
@@ -470,6 +488,123 @@ def test_gibbs_memo_scores_each_distinct_row_once(monkeypatch, variant):
     np.testing.assert_array_equal(_memo_test_draws(model, 3), draws)
     assert set(scored) == set(memo_rows)
     assert len(scored) > 3 * len(memo_rows)
+
+
+def test_gibbs_sweep_draws_each_chains_uniforms_in_one_call():
+    rng = np.random.default_rng(73)
+    model = random_model(rng, random_schema(rng, 5))
+    values = np.stack([rng.integers(0, model.schema.cards) for _ in range(4)])
+    pinned = np.array(
+        [
+            [False] * 5,
+            [True, False, True, False, False],
+            [True] * 5,
+            [False, False, False, False, True],
+        ]
+    )
+    memo = {}
+    rngs, twins = chain_rngs(5, 4), chain_rngs(5, 4)
+    for _ in range(3):  # a cold memo, then warm ones
+        gibbs_sweep(model, values, pinned, memo, rngs)
+        for c, twin in enumerate(twins):
+            for _ in range(int((~pinned[c]).sum())):
+                twin.random()
+            assert rngs[c].bit_generator.state == twin.bit_generator.state
+
+
+def _conditional_log_joints(model, values, var):
+    candidates = np.repeat(values[None], model.schema.cards[var], axis=0)
+    candidates[:, var] = np.arange(model.schema.cards[var])
+    return matrix_tree.unnormalized_log_joint_many(model, candidates, on_singular="neginf")
+
+
+@pytest.mark.parametrize("cards", [(3, 2, 4), (300, 2, 3)])
+@pytest.mark.parametrize("variant", list(Variant))
+def test_gibbs_memo_hit_draws_like_generator_choice(monkeypatch, cards, variant):
+    schema = VariableSchema(
+        tuple((f"X{i}", tuple(f"v{j}" for j in range(c))) for i, c in enumerate(cards))
+    )
+    rng = np.random.default_rng(79)
+    model = random_model(rng, schema, variant)
+    # only X0 is free and every chain shares its context: the first sweep
+    # scores its rows, the second finds them all and stores the conditional,
+    # and from then on every draw reads it
+    values = np.tile(rng.integers(0, schema.cards), (4, 1))
+    pinned = np.ones_like(values, dtype=bool)
+    pinned[:, 0] = False
+    logw = _conditional_log_joints(model, values[0], 0)
+    memo = {}
+    rngs, twins = chain_rngs(13, 4), chain_rngs(13, 4)
+    for stored in (0, 1):
+        gibbs_sweep(model, values, pinned, memo, rngs)
+        for twin in twins:
+            twin.random()
+        assert len(memo.get(0, {})) == stored
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("a stored context went to the row layer")
+
+    monkeypatch.setattr(sampling, "_memo_log_joints", unexpected)
+    seen = set()
+    for _ in range(40):
+        gibbs_sweep(model, values, pinned, memo, rngs)
+        for c, twin in enumerate(twins):
+            assert values[c, 0] == _reference_draw(logw, twin, "unused")
+        seen.update(values[:, 0].tolist())
+    assert len(seen) > 1
+
+
+def _stored_floats_of(memo):
+    """Floats in both layers of a Gibbs memo, counted from its contents."""
+    return sum(
+        sum(map(len, entry.values())) if isinstance(entry, dict) else 1
+        for entry in memo.values()
+    )
+
+
+@pytest.mark.parametrize("cap", [1, 299, 320, 650, 1000])
+@pytest.mark.parametrize("variant", list(Variant))
+def test_gibbs_memo_cap_counts_floats_of_both_layers(monkeypatch, cap, variant):
+    schema = VariableSchema(
+        tuple((f"X{i}", tuple(f"v{j}" for j in range(c))) for i, c in enumerate((300, 2, 3, 2)))
+    )
+    rng = np.random.default_rng(83)
+    model = random_model(rng, schema, variant)
+    start = np.stack([rng.integers(0, schema.cards) for _ in range(3)])
+    pinned = np.zeros_like(start, dtype=bool)
+    pinned[1, 0] = pinned[2, 0] = pinned[2, 2] = True  # X0 is free in chain 0 only
+
+    def run(sweeps):
+        values, memo, rngs = start.copy(), {}, chain_rngs(17, 3)
+        for _ in range(sweeps):
+            gibbs_sweep(model, values, pinned, memo, rngs)
+            yield values.copy(), memo
+
+    default = [values for values, _ in run(20)]
+
+    sizes, conditionals = [], []
+    memo_log_joints = sampling._memo_log_joints
+
+    def observe(memo):
+        sizes.append(_stored_floats_of(memo))
+        conditionals.append(0 in memo)
+
+    def watched(model, candidates, memo):
+        observe(memo)  # the state the last variable's stored conditionals left
+        out = memo_log_joints(model, candidates, memo)
+        observe(memo)
+        return out
+
+    monkeypatch.setattr(sampling, "MEMO_CAP", cap)
+    monkeypatch.setattr(sampling, "_memo_log_joints", watched)
+    for expected, (values, memo) in zip(default, run(20)):
+        np.testing.assert_array_equal(values, expected)
+        observe(memo)
+    assert sizes and max(sizes) <= cap
+    if cap >= 320:  # X0's conditional (300 floats) fits and is stored
+        assert any(conditionals)
+    if cap == 1:  # no conditional and no batch of two or more rows fits
+        assert max(sizes) == 0
 
 
 def test_run_chains_rejects_seed_count_mismatch(two_binary_schema):
