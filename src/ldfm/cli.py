@@ -140,9 +140,7 @@ def _add_sampler_flags(p: argparse.ArgumentParser) -> None:
 
 def _sampler_config(args) -> sampling.SamplerConfig:
     return sampling.SamplerConfig(
-        sampler=sampling.SamplerKind.GIBBS
-        if args.sampler == "gibbs"
-        else sampling.SamplerKind.TREE_AUGMENTED,
+        sampler=sampling.SamplerKind(args.sampler),
         burn_in=args.burn_in,
         samples=args.samples,
         thin=args.thin,
@@ -187,7 +185,7 @@ def _cmd_train(args) -> int:
         smoothing=learning.Smoothing(args.smoothing),
         eps=args.eps,
         kappa=args.kappa,
-        variant=Variant.PLAIN if args.variant == "plain" else Variant.STOP_AUGMENTED,
+        variant=Variant(args.variant),
     )
     t0 = time.perf_counter()
     model, trace = learning.train_em(dataset.rows, dataset.schema, config, workers=args.workers)

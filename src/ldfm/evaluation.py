@@ -47,7 +47,6 @@ class EvalReport:
     mean_cll: float
     mean_cmll: float
     mean_max: float
-    sampler_config: SamplerConfig | None
     seconds_train: float = 0.0
     seconds_infer: float = 0.0
 
@@ -129,7 +128,6 @@ def evaluate(
         mean_cll=float(np.mean(per_cll)),
         mean_cmll=float(np.mean(per_cmll)),
         mean_max=float(np.mean(per_max)),
-        sampler_config=config,
         seconds_infer=seconds_infer,
     )
 
@@ -200,5 +198,4 @@ def evaluate_baseline(
         mean_cll=mean,
         mean_cmll=mean,
         mean_max=mean,
-        sampler_config=None,
     )

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import logging
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -58,6 +59,9 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        # NaN fails every comparison, so finiteness is checked first
+        if not all(map(math.isfinite, (self.eps, self.kappa, self.rel_tol))):
+            raise ValueError("eps, kappa and rel_tol must be finite")
         if self.eps < 0 or self.kappa < 0:
             raise ValueError("smoothing hyperparameters must be nonnegative")
 
@@ -138,14 +142,12 @@ def _chunk_stats(model: LdfmModel, xs: np.ndarray, counts: np.ndarray) -> Suffic
     logz, post = matrix_tree.partition_and_posteriors_many(weights)
 
     rows = schema.assignment_rows(xs)
-    # posterior cell (i, j) goes back to the dep cell it was gathered from
-    flat = (rows[:, :, None] * k + (rows[:, None, 1:] - 1)).ravel()
     post *= counts[:, None, None]
-    edge = np.bincount(flat, weights=post.ravel(), minlength=(1 + k) * k)
+    # posterior cell (i, j) goes back to the dep cell it was gathered from
+    cells = schema.edge_cells(rows).ravel()
+    edge = np.bincount(cells, weights=post.ravel(), minlength=(1 + k) * k)
     occur = np.bincount(rows.ravel(), weights=np.repeat(counts, rows.shape[1]), minlength=1 + k)
-    ll = float(logz @ counts)
-    if model.variant is Variant.STOP_AUGMENTED:
-        ll += float(matrix_tree.stop_log_weight(model, xs) @ counts)
+    ll = float(logz @ counts) + float(matrix_tree.stop_log_weight(model, xs) @ counts)
     return SufficientStats(edge.reshape(1 + k, k), occur, int(counts.sum()), ll)
 
 
@@ -237,11 +239,7 @@ def _log_prior(model: LdfmModel, config: TrainConfig) -> float:
     """Log-prior term of the MAP objective (zero when smoothing is NONE)."""
     if config.smoothing is Smoothing.NONE:
         return 0.0
-    mask = model.schema.source_mask
-    with np.errstate(divide="ignore"):
-        total = float(np.log(model.dep[mask]).sum())
-        if model.variant is Variant.STOP_AUGMENTED:
-            total += float(np.log(model.stop).sum())
+    total = float(model.log_dep[model.schema.source_mask].sum()) + float(model.log_stop.sum())
     if config.smoothing is Smoothing.ADDITIVE:
         return config.eps * total
     return -config.kappa * total
@@ -260,7 +258,8 @@ def train_em(
     with no smoothing the log-likelihood itself is monotone.
     """
     xs = _as_sample_matrix(data, schema)
-    logger.debug("e-step over %d distinct rows of %d", len(_distinct_rows(xs)[0]), xs.shape[0])
+    if logger.isEnabledFor(logging.DEBUG):  # counting the rows costs one more pass
+        logger.debug("e-step over %d distinct rows of %d", len(_distinct_rows(xs)[0]), xs.shape[0])
     model = make_uniform_model(schema, config.variant)
     trace: list[TraceEntry] = []
 

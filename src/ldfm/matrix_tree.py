@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import MISSING, LdfmModel, Variant
+from .model import MISSING, LdfmModel
 
 # Below this, a diagonal entry is treated as an unreachable node.
 PIVOT_FLOOR = 1e-300
@@ -59,8 +59,7 @@ def assignment_matrices(model: LdfmModel, xs: np.ndarray) -> np.ndarray:
         raise ValueError("assignment is incomplete")
     if np.any(xs < 0) or np.any(xs >= schema.cards[None, :]):
         raise ValueError("assignment value index out of range")
-    rows = schema.assignment_rows(xs)
-    return model.dep[rows[:, :, None], rows[:, None, 1:] - 1]
+    return model.dep.take(schema.edge_cells(schema.assignment_rows(xs)))
 
 
 def _root_minors(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -169,23 +168,18 @@ def partition_and_posteriors_many(weights: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def stop_log_weight(model: LdfmModel, xs: np.ndarray) -> np.ndarray:
-    """Sum of log stop weights over the root and every assigned node, per row."""
+    """Sum of log stop weights over the root and every assigned node, per
+    row; zero for the plain variant."""
     rows = model.schema.assignment_rows(np.atleast_2d(xs))
-    with np.errstate(divide="ignore"):
-        log_stop = np.log(model.stop)
-    return log_stop[rows].sum(axis=1)
+    return model.log_stop[rows].sum(axis=1)
 
 
 def unnormalized_log_joint_many(
     model: LdfmModel, xs: np.ndarray, on_singular: str = "raise"
 ) -> np.ndarray:
-    """Log unnormalized joint weight of complete assignments.
-
-    Plain variant: the log partition value.  Stop-augmented: adds the log
-    stop weight of the root and of every assigned node.
+    """Log unnormalized joint weight of complete assignments: the log
+    partition value plus the log stop weight of the root and of every
+    assigned node (zero for the plain variant).
     """
     weights = assignment_matrices(model, xs)
-    logz = log_partition_many(weights, on_singular=on_singular)
-    if model.variant is Variant.STOP_AUGMENTED:
-        return logz + stop_log_weight(model, xs)
-    return logz
+    return log_partition_many(weights, on_singular=on_singular) + stop_log_weight(model, xs)

@@ -78,6 +78,11 @@ class VariableSchema:
         names = [name for name, _ in vs]
         if len(set(names)) != len(names):
             raise ValueError("variable names must be unique")
+        # datasets are comma-separated lines, so no name or label may hold
+        # a separator
+        for text in names + [label for _, dom in vs for label in dom]:
+            if any(c in text for c in ",\r\n"):
+                raise ValueError(f"name or label {text!r} contains a comma or line break")
         for name, dom in vs:
             if not dom:
                 raise ValueError(f"variable {name!r} has an empty domain")
@@ -106,7 +111,7 @@ class VariableSchema:
         a.setflags(write=False)
         return a
 
-    @property
+    @cached_property
     def num_keys(self) -> int:
         """Total number of <variable, value> pair keys."""
         return int(self.cards.sum())
@@ -198,6 +203,12 @@ class VariableSchema:
         rows[..., 1:] = 1 + self.offsets + x
         return rows
 
+    def edge_cells(self, rows: np.ndarray) -> np.ndarray:
+        """Flat ``dep`` index of each cell of the (B, n+1, n) edge tables
+        whose (B, n+1) source rows (from :meth:`assignment_rows`) are
+        ``rows``: cell (b, i, j) is the edge from source i into node j+1."""
+        return rows[:, :, None] * self.num_keys + (rows[:, None, 1:] - 1)
+
 
 @dataclass(frozen=True)
 class LdfmModel:
@@ -206,7 +217,8 @@ class LdfmModel:
     ``dep`` has one row per source key (row 0 = root) and one column per
     target <variable, value> key; entries outside :attr:`VariableSchema.source_mask`
     are structurally zero.  The arrays are copied and frozen, so a model is
-    immutable and safe to share across threads.
+    immutable and safe to share across threads.  :attr:`log_dep` and
+    :attr:`log_stop` are the log tables every scoring path reads.
     """
 
     schema: VariableSchema
@@ -231,6 +243,27 @@ class LdfmModel:
             object.__setattr__(self, "stop", stop)
         elif self.stop is not None:
             raise ValueError("plain model must not carry stop weights")
+
+    @cached_property
+    def log_dep(self) -> np.ndarray:
+        """Read-only ``log(dep)``, -inf where a weight is zero."""
+        with np.errstate(divide="ignore"):
+            a = np.log(self.dep)
+        a.setflags(write=False)
+        return a
+
+    @cached_property
+    def log_stop(self) -> np.ndarray:
+        """Read-only log stop weight per source row; all zeros for the plain
+        variant, whose joint has no stop factor, so every scoring path can
+        add it unconditionally."""
+        if self.stop is None:
+            a = np.zeros(self.dep.shape[0])
+        else:
+            with np.errstate(divide="ignore"):
+                a = np.log(self.stop)
+        a.setflags(write=False)
+        return a
 
 
 def make_uniform_model(schema: VariableSchema, variant: Variant = Variant.PLAIN) -> LdfmModel:

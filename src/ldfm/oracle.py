@@ -16,7 +16,6 @@ import numpy as np
 
 from .matrix_tree import assignment_matrices
 from .model import MISSING, LdfmModel, Variant
-from .sampling import is_rooted_tree
 
 MAX_TREE_N = 8
 MAX_STATE_SPACE = 4096
@@ -31,6 +30,28 @@ def logsumexp(values: np.ndarray) -> float:
     if not np.isfinite(m):
         return float(m)
     return float(np.log(np.exp(values - m).sum()) + m)
+
+
+def is_rooted_tree(parents) -> bool:
+    """Whether parents[j] (nodes 1..n; entry 0 ignored) links every node to
+    root 0 without a cycle.  Each node's path is followed once, so O(n)."""
+    n = len(parents) - 1
+    state = [0] * (n + 1)  # 0 unknown, 1 on current path, 2 reaches the root
+    state[0] = 2
+    for start in range(1, n + 1):
+        path = []
+        j = start
+        while state[j] == 0:
+            path.append(j)
+            state[j] = 1
+            j = int(parents[j])
+            if not 0 <= j <= n:
+                return False
+        if state[j] == 1:
+            return False
+        for p in path:
+            state[p] = 2
+    return True
 
 
 def enumerate_rooted_trees(n: int) -> Iterator[tuple[int, ...]]:

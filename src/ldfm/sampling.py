@@ -35,7 +35,7 @@ import numpy as np
 
 from . import matrix_tree, rng as rng_mod
 from .matrix_tree import SingularLaplacianError
-from .model import MISSING, LdfmModel, Variant
+from .model import MISSING, LdfmModel
 
 
 # Most floats a Gibbs memo stores over both layers, one per row log joint
@@ -110,28 +110,6 @@ def random_parent_vector(n: int, rng: np.random.Generator) -> np.ndarray:
         parents[node] = attached[int(rng.integers(len(attached)))]
         attached.append(int(node))
     return parents
-
-
-def is_rooted_tree(parents) -> bool:
-    """Whether parents[j] (nodes 1..n; entry 0 ignored) links every node to
-    root 0 without a cycle.  Each node's path is followed once, so O(n)."""
-    n = len(parents) - 1
-    state = [0] * (n + 1)  # 0 unknown, 1 on current path, 2 reaches the root
-    state[0] = 2
-    for start in range(1, n + 1):
-        path = []
-        j = start
-        while state[j] == 0:
-            path.append(j)
-            state[j] = 1
-            j = int(parents[j])
-            if not 0 <= j <= n:
-                return False
-        if state[j] == 1:
-            return False
-        for p in path:
-            state[p] = 2
-    return True
 
 
 def _row_cdfs(logw: np.ndarray, error: Callable[[int], str]) -> np.ndarray:
@@ -319,13 +297,10 @@ def tree_augmented_step(
     rows_all = schema.assignment_rows(values)
     is_child = parents[:, None, 1:] == nodes[:, None, None]
     child_cols = (schema.offsets + values)[:, None, :]
-    with np.errstate(divide="ignore"):
-        # (value, parent) grid of log incoming weight, plus value-only terms
-        log_in = np.log(model.dep[rows_all[:, None, :], val_cols[:, :, None]])
-        child_logw = np.log(model.dep[val_rows[:, :, None], child_cols])
-        val_logw = np.where(is_child, child_logw, 0.0).sum(axis=2)
-        if model.variant is Variant.STOP_AUGMENTED:
-            val_logw = val_logw + np.log(model.stop[val_rows])
+    # (value, parent) grid of log incoming weight, plus value-only terms
+    log_in = model.log_dep[rows_all[:, None, :], val_cols[:, :, None]]
+    child_logw = model.log_dep[val_rows[:, :, None], child_cols]
+    val_logw = np.where(is_child, child_logw, 0.0).sum(axis=2) + model.log_stop[val_rows]
 
     open_cells = allowed[:, :, None] & ~blocked[:, None, :]
     logw = np.where(open_cells, log_in + val_logw[:, :, None], -np.inf)

@@ -466,3 +466,60 @@ def test_eval_with_zero_instances_exits_two(tmp_path, capsys):
     assert code == 2
     assert "nan" not in out
     assert "instance count" in err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--eps", "nan"),
+        ("--eps", "inf"),
+        ("--kappa", "nan", "--smoothing", "sparsity"),
+        ("--tol", "nan"),
+    ],
+    ids=["eps-nan", "eps-inf", "kappa-nan", "tol-nan"],
+)
+def test_train_rejects_non_finite_hyperparameters(tmp_path, capsys, flags):
+    data = tmp_path / "d.csv"
+    run(capsys, "gen-data", "--n", "8", "--samples", "50", "--seed", "4", "--out", str(data))
+    model_path = tmp_path / "m.model"
+    code, _, err = run(
+        capsys, "train", "--data", str(data), "--out", str(model_path), "--iters", "2", *flags
+    )
+    assert code == 2
+    assert "eps, kappa and rel_tol must be finite" in err
+    assert not model_path.exists()
+
+
+@pytest.mark.parametrize("label", ["y,z", "y\nz", "y\rz"], ids=["comma", "lf", "cr"])
+def test_separator_in_a_schema_label_exits_two(tmp_path, capsys, label):
+    # sample would write rows that no reader can split back into fields
+    data, schema = tmp_path / "d.csv", tmp_path / "s.json"
+    data.write_text("A,B\nx,u\ny,v\n")
+    doc = {
+        "format_version": 1,
+        "variables": [{"name": "A", "domain": ["x", label]}, {"name": "B", "domain": ["u", "v"]}],
+    }
+    schema.write_text(json.dumps(doc))
+    code, out, err = run(
+        capsys,
+        "train", "--data", str(data), "--schema", str(schema),
+        "--out", str(tmp_path / "m.model"), "--iters", "1",
+    )
+    assert (code, out) == (2, "")
+    assert str(schema) in err
+    assert not (tmp_path / "m.model").exists()
+
+    model_path = tmp_path / "m2.model"
+    plain_schema = VariableSchema((("A", ("x", "y")), ("B", ("u", "v"))))
+    save_model(make_uniform_model(plain_schema), model_path)
+    doc = json.loads(model_path.read_text())
+    payload = json.loads(json.dumps(doc["payload"]).replace('"y"', json.dumps(label)))
+    doc["payload"], doc["checksum"] = payload, _payload_checksum(payload)
+    model_path.write_text(json.dumps(doc))
+    code, out, err = run(
+        capsys, "sample", "--model", str(model_path), "--out", str(tmp_path / "s.csv"),
+        "--samples", "5", "--seed", "1",
+    )
+    assert (code, out) == (2, "")
+    assert str(model_path) in err
+    assert not (tmp_path / "s.csv").exists()

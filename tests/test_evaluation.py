@@ -135,7 +135,6 @@ def test_baseline_closed_form_matches_marginals():
     baseline = fit_independence_baseline(ds)
     instances = make_query_instances(ds, 0.4, 0.2, 25, seed=13)
     report = evaluate_baseline(baseline, instances, 0.4, 0.2)
-    assert report.sampler_config is None
     assert report.mean_cll == report.mean_cmll == report.mean_max
     # recompute one instance by hand
     inst = instances[0]
@@ -174,7 +173,6 @@ def test_format_report_exact_fields():
         mean_cll=-0.5,
         mean_cmll=-0.4,
         mean_max=-0.4,
-        sampler_config=None,
         seconds_train=1.0,
         seconds_infer=2.0,
     )

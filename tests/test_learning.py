@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ldfm import learning
 from ldfm.learning import (
     CHUNK,
     Smoothing,
@@ -474,6 +476,39 @@ def test_train_config_validation():
         TrainConfig(max_iters=0)
     with pytest.raises(ValueError):
         TrainConfig(eps=-1.0)
+
+
+@pytest.mark.parametrize("field", ["eps", "kappa", "rel_tol"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_train_config_rejects_non_finite_hyperparameters(field, value):
+    # NaN fails every comparison, so a sign check alone lets it through
+    with pytest.raises(ValueError, match="finite"):
+        TrainConfig(**{field: value})
+
+
+def test_train_em_deduplicates_once_per_evaluated_model(monkeypatch, caplog):
+    calls = []
+
+    def counting(xs):
+        calls.append(len(xs))
+        return _distinct_rows(xs)
+
+    monkeypatch.setattr(learning, "_distinct_rows", counting)
+    xs = np.random.default_rng(4).integers(0, 2, size=(60, 3))
+    schema = VariableSchema(tuple((f"X{i}", ("a", "b")) for i in range(3)))
+    config = TrainConfig(max_iters=3, rel_tol=-1.0)  # never converges: 3 steps, then a final score
+    with caplog.at_level(logging.INFO, logger="ldfm.learning"):
+        _, trace = train_em(xs, schema, config)
+    assert len(trace) == 4
+    assert len(calls) == len(trace)  # one per e_step or final data_log_likelihood
+    assert "distinct rows" not in caplog.text
+    calls.clear()
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="ldfm.learning"):
+        train_em(xs, schema, config)
+    assert len(calls) == len(trace) + 1
+    lines = [r.getMessage() for r in caplog.records if "distinct rows" in r.getMessage()]
+    assert lines == [f"e-step over {len(np.unique(xs, axis=0))} distinct rows of 60"]
 
 
 def test_m_step_requires_samples(two_binary_schema):

@@ -180,6 +180,24 @@ def test_log_joint_matches_partition_for_plain(two_binary_schema):
     assert lj == pytest.approx(lp, rel=1e-12)
 
 
+def test_plain_log_joint_is_exactly_the_log_partition():
+    # plain adds a zero stop term; singular rows stay -inf under "neginf"
+    rng = np.random.default_rng(11)
+    schema = random_schema(rng, 5)
+    base = random_model(rng, schema)
+    dep = base.dep.copy()
+    dep[:, 0] = 0.0  # key <X1, v0> has no incoming edge: those rows score -inf
+    model = LdfmModel(schema, Variant.PLAIN, dep)
+    xs = rng.integers(0, schema.cards, size=(30, schema.n))
+    xs[:10, 0] = 0
+    xs[10:, 0] = 1
+    joint = unnormalized_log_joint_many(model, xs, on_singular="neginf")
+    logz = log_partition_many(assignment_matrices(model, xs), on_singular="neginf")
+    assert np.isneginf(joint[:10]).all() and np.isfinite(joint[10:]).all()
+    np.testing.assert_array_equal(joint, logz)
+    np.testing.assert_array_equal(unnormalized_log_joint_many(model, xs[10:]), logz[10:])
+
+
 def test_log_joint_stop_variant_adds_stop_terms(two_binary_schema):
     model = make_uniform_model(two_binary_schema, Variant.STOP_AUGMENTED)
     x = np.array([1, 0])

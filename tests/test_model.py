@@ -14,7 +14,7 @@ from ldfm.model import (
     validate_model,
 )
 
-from conftest import random_schema
+from conftest import random_model, random_schema
 
 
 def test_schema_rejects_bad_input():
@@ -26,6 +26,15 @@ def test_schema_rejects_bad_input():
         VariableSchema((("A", ("x", "x")),))
     with pytest.raises(ValueError):
         VariableSchema((("A", ("x",)), ("A", ("y",))))
+
+
+@pytest.mark.parametrize("text", ["y,z", "y\nz", "y\rz", ","])
+@pytest.mark.parametrize("where", ["name", "label"])
+def test_schema_rejects_separators_in_names_and_labels(text, where):
+    # a dataset row is one comma-separated line, so such text cannot round-trip
+    variables = ((text, ("x", "y")),) if where == "name" else (("A", ("x", text)),)
+    with pytest.raises(ValueError, match="comma or line break"):
+        VariableSchema(variables)
 
 
 def test_schema_index_arithmetic():
@@ -136,3 +145,44 @@ def test_uniform_rows_normalize_and_stay_in_range(seed, n, stop):
         nonempty = schema.target_counts > 0
         np.testing.assert_allclose(totals[nonempty], 1.0, atol=1e-12)
     assert model.dep.min() >= 0.0 and model.dep.max() <= 1.0
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_log_tables_are_the_read_only_logs_of_the_weights(variant):
+    rng = np.random.default_rng(3)
+    schema = random_schema(rng, 4)
+    model = random_model(rng, schema, variant)
+    expected_stop = np.zeros(1 + schema.num_keys)
+    with np.errstate(divide="ignore"):
+        expected_dep = np.log(model.dep)  # -inf on the same-variable cells
+        if variant is Variant.STOP_AUGMENTED:
+            expected_stop = np.log(model.stop)
+    assert np.isneginf(expected_dep).any()
+    np.testing.assert_array_equal(model.log_dep, expected_dep)
+    np.testing.assert_array_equal(model.log_stop, expected_stop)
+    for name in ("log_dep", "log_stop"):
+        table = getattr(model, name)
+        assert getattr(model, name) is table  # computed once per model
+        with pytest.raises(ValueError):
+            table[0] = 0.5
+        with pytest.raises(AttributeError):
+            setattr(model, name, table.copy())
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 100_000),
+    n=st.integers(1, 7),
+    max_card=st.integers(2, 5),
+    batch=st.integers(1, 6),
+)
+def test_edge_cells_index_the_cells_a_2d_gather_reads(seed, n, max_card, batch):
+    rng = np.random.default_rng(seed)
+    schema = random_schema(rng, n, max_card=max_card)
+    k = schema.num_keys
+    dep = rng.permutation((1 + k) * k).reshape(1 + k, k).astype(np.float64)  # distinct cells
+    rows = schema.assignment_rows(rng.integers(0, schema.cards, size=(batch, n)))
+    reference = dep[rows[:, :, None], rows[:, None, 1:] - 1]
+    got = dep.take(schema.edge_cells(rows))
+    assert got.shape == (batch, n + 1, n)
+    np.testing.assert_array_equal(got, reference)

@@ -19,7 +19,7 @@ from ldfm.model import (
     VariableSchema,
     make_uniform_model,
 )
-from ldfm.oracle import exact_conditional, logsumexp
+from ldfm.oracle import exact_conditional, is_rooted_tree, logsumexp
 from ldfm.rng import chain_rngs, make_rng
 from ldfm.sampling import (
     QueryInstance,
@@ -29,7 +29,6 @@ from ldfm.sampling import (
     estimate_cll,
     estimate_cmll,
     gibbs_sweep,
-    is_rooted_tree,
     random_parent_vector,
     run_chain,
     run_chains,
