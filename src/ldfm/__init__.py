@@ -41,7 +41,6 @@ from .learning import (
 from .matrix_tree import (
     NumericConsistencyError,
     SingularLaplacianError,
-    assignment_matrices,
     log_partition_many,
     partition_and_posteriors_many,
     unnormalized_log_joint_many,
@@ -53,7 +52,6 @@ from .model import (
     NodeKey,
     Variant,
     VariableSchema,
-    lookup_weight,
     make_uniform_model,
     validate_model,
 )
@@ -98,7 +96,6 @@ __all__ = [
     "TrainConfig",
     "VariableSchema",
     "Variant",
-    "assignment_matrices",
     "brute_edge_posteriors",
     "brute_log_partition",
     "brute_unnormalized_joint",
@@ -120,7 +117,6 @@ __all__ = [
     "load_model",
     "load_schema",
     "log_partition_many",
-    "lookup_weight",
     "m_step",
     "make_query_instances",
     "make_uniform_model",

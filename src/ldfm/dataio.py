@@ -38,10 +38,9 @@ class Dataset:
 
     def __post_init__(self) -> None:
         rows = np.array(self.rows, dtype=np.int64)
-        if rows.ndim != 2 or rows.shape[1] != self.schema.n:
+        if rows.ndim != 2:
             raise ValueError(f"rows must be (B, {self.schema.n}), got {rows.shape}")
-        if rows.size and (np.any(rows < 0) or np.any(rows >= self.schema.cards[None, :])):
-            raise ValueError("row value index out of schema range")
+        self.schema.check_assignments(rows)
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
 
@@ -84,9 +83,12 @@ def load_dataset(path, schema: VariableSchema | None = None) -> Dataset:
                 domains[i].setdefault(label, len(domains[i]))
         if any(not d for d in domains):
             raise DatasetFormatError(f"{path}: dataset has a header but no rows")
-        schema = VariableSchema(
-            tuple((name, tuple(d.keys())) for name, d in zip(header, domains))
-        )
+        try:
+            schema = VariableSchema(
+                tuple((name, tuple(d.keys())) for name, d in zip(header, domains))
+            )
+        except ValueError as exc:
+            raise DatasetFormatError(f"{path}: {exc}") from None
     rows = np.empty((len(table) - 1, n), dtype=np.int64)
     for r, row in enumerate(table[1:]):
         for i, label in enumerate(row):

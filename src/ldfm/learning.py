@@ -24,7 +24,6 @@ import numpy as np
 
 from . import matrix_tree
 from .model import (
-    MISSING,
     WEIGHT_FLOOR,
     LdfmModel,
     Variant,
@@ -106,17 +105,9 @@ class TraceEntry(NamedTuple):
 
 
 def _as_sample_matrix(data, schema: VariableSchema) -> np.ndarray:
-    xs = np.asarray(data, dtype=np.int64)
-    if xs.ndim == 1:
-        xs = xs[None, :]
-    if xs.ndim != 2 or xs.shape[1] != schema.n:
-        raise ValueError(f"data must be (B, {schema.n}) value indices, got {xs.shape}")
+    xs = schema.check_assignments(data)
     if xs.shape[0] == 0:
         raise ValueError("data must contain at least one sample")
-    if np.any(xs == MISSING):
-        raise ValueError("training samples must be complete")
-    if np.any(xs < 0) or np.any(xs >= schema.cards[None, :]):
-        raise ValueError("sample value index out of schema range")
     return xs
 
 
@@ -135,19 +126,20 @@ def _distinct_rows(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _chunk_stats(model: LdfmModel, xs: np.ndarray, counts: np.ndarray) -> SufficientStats:
-    """Statistics of distinct rows ``xs``, each weighted by its count."""
+    """Statistics of distinct rows ``xs`` (already checked), each weighted
+    by its count."""
     schema = model.schema
     k = schema.num_keys
-    weights = matrix_tree.assignment_matrices(model, xs)
+    rows = schema.assignment_rows(xs)
+    weights = matrix_tree.assignment_matrices(model, rows)
     logz, post = matrix_tree.partition_and_posteriors_many(weights)
 
-    rows = schema.assignment_rows(xs)
     post *= counts[:, None, None]
     # posterior cell (i, j) goes back to the dep cell it was gathered from
     cells = schema.edge_cells(rows).ravel()
     edge = np.bincount(cells, weights=post.ravel(), minlength=(1 + k) * k)
     occur = np.bincount(rows.ravel(), weights=np.repeat(counts, rows.shape[1]), minlength=1 + k)
-    ll = float(logz @ counts) + float(matrix_tree.stop_log_weight(model, xs) @ counts)
+    ll = float(logz @ counts) + float(model.log_stop[rows].sum(axis=1) @ counts)
     return SufficientStats(edge.reshape(1 + k, k), occur, int(counts.sum()), ll)
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import MISSING, LdfmModel
+from .model import LdfmModel
 
 # Below this, a diagonal entry is treated as an unreachable node.
 PIVOT_FLOOR = 1e-300
@@ -48,18 +48,14 @@ class NumericConsistencyError(ArithmeticError):
     """An edge posterior left [0, 1] by more than roundoff allows."""
 
 
-def assignment_matrices(model: LdfmModel, xs: np.ndarray) -> np.ndarray:
-    """Stacked (B, n+1, n) edge-weight tables for complete assignments ``xs``."""
-    schema = model.schema
-    xs = np.atleast_2d(np.asarray(xs, dtype=np.int64))
-    n = xs.shape[1]
-    if n != schema.n:
-        raise ValueError(f"assignments have {n} variables, schema has {schema.n}")
-    if np.any(xs == MISSING):
-        raise ValueError("assignment is incomplete")
-    if np.any(xs < 0) or np.any(xs >= schema.cards[None, :]):
-        raise ValueError("assignment value index out of range")
-    return model.dep.take(schema.edge_cells(schema.assignment_rows(xs)))
+def assignment_matrices(model: LdfmModel, rows: np.ndarray) -> np.ndarray:
+    """Stacked (B, n+1, n) edge-weight tables of the assignments whose
+    (B, n+1) source rows are ``rows`` (from ``VariableSchema.assignment_rows``).
+
+    Unchecked: ``np.take`` wraps a negative index, so ``rows`` must come
+    from assignments that passed ``VariableSchema.check_assignments``.
+    """
+    return model.dep.take(model.schema.edge_cells(rows))
 
 
 def _root_minors(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -167,13 +163,6 @@ def partition_and_posteriors_many(weights: np.ndarray) -> tuple[np.ndarray, np.n
     return logz, _posteriors_from_inverse(w, inv_q0)
 
 
-def stop_log_weight(model: LdfmModel, xs: np.ndarray) -> np.ndarray:
-    """Sum of log stop weights over the root and every assigned node, per
-    row; zero for the plain variant."""
-    rows = model.schema.assignment_rows(np.atleast_2d(xs))
-    return model.log_stop[rows].sum(axis=1)
-
-
 def unnormalized_log_joint_many(
     model: LdfmModel, xs: np.ndarray, on_singular: str = "raise"
 ) -> np.ndarray:
@@ -181,5 +170,7 @@ def unnormalized_log_joint_many(
     partition value plus the log stop weight of the root and of every
     assigned node (zero for the plain variant).
     """
-    weights = assignment_matrices(model, xs)
-    return log_partition_many(weights, on_singular=on_singular) + stop_log_weight(model, xs)
+    schema = model.schema
+    rows = schema.assignment_rows(schema.check_assignments(xs))
+    logz = log_partition_many(assignment_matrices(model, rows), on_singular=on_singular)
+    return logz + model.log_stop[rows].sum(axis=1)

@@ -79,10 +79,12 @@ class VariableSchema:
         if len(set(names)) != len(names):
             raise ValueError("variable names must be unique")
         # datasets are comma-separated lines, so no name or label may hold
-        # a separator
+        # a separator; query bindings are stripped, so none may be padded
         for text in names + [label for _, dom in vs for label in dom]:
             if any(c in text for c in ",\r\n"):
                 raise ValueError(f"name or label {text!r} contains a comma or line break")
+            if text != text.strip():
+                raise ValueError(f"name or label {text!r} has leading or trailing whitespace")
         for name, dom in vs:
             if not dom:
                 raise ValueError(f"variable {name!r} has an empty domain")
@@ -195,9 +197,24 @@ class VariableSchema:
         row = int(row)
         return "root" if row == 0 else self.describe_key(self.key_of_col(row - 1))
 
+    def check_assignments(self, xs) -> np.ndarray:
+        """``xs`` as a (B, n) int64 array of complete assignments, shape (n,)
+        giving one row.  Raises ValueError for another width, a MISSING
+        entry, or a value index outside its variable's domain."""
+        xs = np.atleast_2d(np.asarray(xs, dtype=np.int64))
+        if xs.ndim != 2 or xs.shape[1] != self.n:
+            raise ValueError(f"assignments must be (B, {self.n}) value indices, got {xs.shape}")
+        if np.any(xs == MISSING):
+            raise ValueError("assignment is incomplete")
+        if np.any(xs < 0) or np.any(xs >= self.cards):
+            raise ValueError("assignment value index out of range")
+        return xs
+
     def assignment_rows(self, x: np.ndarray) -> np.ndarray:
         """Source-row indices [root, <X_1,x_1>, ..., <X_n,x_n>] of complete
-        assignments: shape (n,) gives (n+1,), shape (B, n) gives (B, n+1)."""
+        assignments: shape (n,) gives (n+1,), shape (B, n) gives (B, n+1).
+        Unchecked: ``x`` must hold valid assignments (see
+        :meth:`check_assignments`)."""
         x = np.asarray(x)
         rows = np.zeros(x.shape[:-1] + (x.shape[-1] + 1,), dtype=np.int64)
         rows[..., 1:] = 1 + self.offsets + x
@@ -330,20 +347,3 @@ def validate_model(model: LdfmModel, tol: float = 1e-9) -> list[str]:
             f"{schema.describe_row(row)}: outgoing weights sum to {totals[row]:.12g}, expected 1"
         )
     return violations
-
-
-def lookup_weight(model: LdfmModel, source: NodeKey, target: NodeKey) -> float:
-    """Weight of generating ``target`` from ``source``.
-
-    Raises ValueError for a root target, a same-variable source/target pair,
-    or out-of-range indices.
-    """
-    if target.is_root:
-        raise ValueError("target must be a <variable, value> pair, not the root")
-    if not source.is_root and source.var == target.var:
-        raise ValueError(
-            f"source and target refer to the same variable (index {source.var})"
-        )
-    row = model.schema.row_of(source)
-    col = model.schema.col_of(target.var, target.val)
-    return float(model.dep[row, col])

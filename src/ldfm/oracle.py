@@ -86,36 +86,41 @@ def _tree_log_weights(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return trees, logw[trees, np.arange(n)].sum(axis=1)
 
 
-def brute_log_partition(weights: np.ndarray) -> float:
-    """Log of the sum over all rooted spanning trees of the edge-weight product.
-
-    ``weights`` is one (n+1, n) edge table, ``weights[i, j]`` the edge from
-    source i (0 = root) into node j+1; self-loop cells are never read.
-    """
-    _, tree_logw = _tree_log_weights(weights)
+def _log_total(tree_logw: np.ndarray) -> float:
     total = logsumexp(tree_logw)
     if not np.isfinite(total):
         raise ValueError("all spanning trees have zero weight")
     return total
 
 
+def brute_log_partition(weights: np.ndarray) -> float:
+    """Log of the sum over all rooted spanning trees of the edge-weight product.
+
+    ``weights`` is one (n+1, n) edge table, ``weights[i, j]`` the edge from
+    source i (0 = root) into node j+1; self-loop cells are never read.
+    """
+    return _log_total(_tree_log_weights(weights)[1])
+
+
 def brute_edge_posteriors(weights: np.ndarray) -> np.ndarray:
-    """(n+1, n) edge posteriors by summation over enumerated trees; self-loop cells are 0."""
+    """(n+1, n) edge posteriors by summation over enumerated trees; self-loop cells are 0.
+
+    Column j sums each tree's normalized weight into the cell of node j+1's
+    parent in that tree.
+    """
     trees, tree_logw = _tree_log_weights(weights)
-    log_z = brute_log_partition(weights)
+    tree_p = np.exp(tree_logw - _log_total(tree_logw))
     n = trees.shape[1]
-    post = np.zeros((n + 1, n))
-    for j in range(n):
-        for i in range(n + 1):
-            post[i, j] = np.exp(logsumexp(tree_logw[trees[:, j] == i]) - log_z)
-    return post
+    columns = [np.bincount(trees[:, j], weights=tree_p, minlength=n + 1) for j in range(n)]
+    return np.stack(columns, axis=1)
 
 
 def _log_joint_or_neginf(model: LdfmModel, x: np.ndarray) -> float:
-    _, tree_logw = _tree_log_weights(assignment_matrices(model, x)[0])
+    schema = model.schema
+    rows = schema.assignment_rows(schema.check_assignments(x))
+    _, tree_logw = _tree_log_weights(assignment_matrices(model, rows)[0])
     total = logsumexp(tree_logw)
     if model.variant is Variant.STOP_AUGMENTED:
-        rows = model.schema.assignment_rows(np.asarray(x))
         with np.errstate(divide="ignore"):
             total += float(np.log(model.stop[rows]).sum())
     return total

@@ -77,14 +77,6 @@ class QueryInstance:
     def query_vars(self) -> np.ndarray:
         return np.nonzero(self.query != MISSING)[0]
 
-    @property
-    def evidence_vars(self) -> np.ndarray:
-        return np.nonzero(self.evidence != MISSING)[0]
-
-    @property
-    def hidden_vars(self) -> np.ndarray:
-        return np.nonzero((self.query == MISSING) & (self.evidence == MISSING))[0]
-
 
 @dataclass(frozen=True)
 class SamplerConfig:
@@ -384,8 +376,6 @@ def estimate_cll(
     if samples.size == 0:
         raise ValueError("sample set is empty")
     qv = instance.query_vars
-    if qv.size == 0:
-        raise ValueError("instance has no query variables")
     total = samples.shape[0]
     matches = int(np.all(samples[:, qv] == instance.query[qv][None, :], axis=1).sum())
     value = float(np.log((matches + 1.0) / (total + 2.0)))
@@ -407,8 +397,6 @@ def estimate_cmll(
     if samples.size == 0:
         raise ValueError("sample set is empty")
     qv = instance.query_vars
-    if qv.size == 0:
-        raise ValueError("instance has no query variables")
     total = samples.shape[0]
     value = 0.0
     for var in qv:

@@ -95,3 +95,17 @@ def random_schema(rng: np.random.Generator, n: int, max_card: int = 3) -> Variab
             for i in range(n)
         )
     )
+
+
+def count_method_calls(monkeypatch, cls, name: str) -> list:
+    """Wrap method ``cls.name`` for the test; the returned list grows by one
+    entry per call."""
+    calls: list = []
+    original = getattr(cls, name)
+
+    def wrapper(self, *args, **kwargs):
+        calls.append(name)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, wrapper)
+    return calls

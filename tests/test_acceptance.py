@@ -163,8 +163,8 @@ def test_criterion_5_single_sample_m_step_equivalence():
         x = np.array([rng.integers(0, c) for c in schema.cards])
         stats = e_step(model, x[None, :])
         new = m_step(stats, TrainConfig(smoothing=Smoothing.NONE), schema)
-        post = brute_edge_posteriors(assignment_matrices(model, x)[0])
         rows = schema.assignment_rows(x)
+        post = brute_edge_posteriors(assignment_matrices(model, rows[None])[0])
         for i in range(n + 1):
             out_mass = post[i].sum()
             if out_mass <= 0:

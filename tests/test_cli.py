@@ -523,3 +523,30 @@ def test_separator_in_a_schema_label_exits_two(tmp_path, capsys, label):
     assert (code, out) == (2, "")
     assert str(model_path) in err
     assert not (tmp_path / "s.csv").exists()
+
+
+def test_padded_label_exits_two(tmp_path, capsys):
+    # `query` strips its bindings, so a label " y" could be trained but never queried
+    data, schema = tmp_path / "d.csv", tmp_path / "s.json"
+    data.write_text("A,B\nx,u\nx,v\n")
+    doc = {
+        "format_version": 1,
+        "variables": [{"name": "A", "domain": ["x", " y"]}, {"name": "B", "domain": ["u", "v"]}],
+    }
+    schema.write_text(json.dumps(doc))
+    code, out, err = run(
+        capsys,
+        "train", "--data", str(data), "--schema", str(schema),
+        "--out", str(tmp_path / "m.model"), "--iters", "1",
+    )
+    assert (code, out) == (2, "")
+    assert str(schema) in err and "whitespace" in err
+    assert not (tmp_path / "m.model").exists()
+
+    data.write_text("A,B\nx,u\n y,v\n")
+    code, out, err = run(
+        capsys, "train", "--data", str(data), "--out", str(tmp_path / "m.model"), "--iters", "1",
+    )
+    assert (code, out) == (2, "")
+    assert str(data) in err and "whitespace" in err
+    assert not (tmp_path / "m.model").exists()

@@ -15,7 +15,7 @@ from ldfm.evaluation import (
     make_query_instances,
 )
 from ldfm.learning import Smoothing, TrainConfig, train_em
-from ldfm.model import VariableSchema, make_uniform_model
+from ldfm.model import MISSING, VariableSchema, make_uniform_model
 from ldfm.sampling import SamplerConfig, SamplerKind, estimate_cll, estimate_cmll, run_chain
 
 
@@ -32,8 +32,8 @@ def test_split_sizes_ten_variables():
     instances = make_query_instances(ds, 0.4, 0.3, 5, seed=1)
     for inst in instances:
         assert inst.query_vars.size == 4
-        assert inst.evidence_vars.size == 3
-        assert inst.hidden_vars.size == 3
+        assert np.count_nonzero(inst.evidence != MISSING) == 3
+        assert np.count_nonzero((inst.query == MISSING) & (inst.evidence == MISSING)) == 3
 
 
 def test_split_sizes_eight_variables():
@@ -41,8 +41,8 @@ def test_split_sizes_eight_variables():
     instances = make_query_instances(ds, 0.3, 0.2, 3, seed=2)
     for inst in instances:
         assert inst.query_vars.size == 2
-        assert inst.evidence_vars.size == 2
-        assert inst.hidden_vars.size == 4
+        assert np.count_nonzero(inst.evidence != MISSING) == 2
+        assert np.count_nonzero((inst.query == MISSING) & (inst.evidence == MISSING)) == 4
 
 
 def test_query_fraction_rounding_to_zero_is_an_error():
@@ -81,9 +81,8 @@ def test_instance_values_come_from_the_row():
     for k, inst in enumerate(make_query_instances(ds, 0.4, 0.3, 10, seed=6)):
         row = ds.rows[k]
         np.testing.assert_array_equal(inst.query[inst.query_vars], row[inst.query_vars])
-        np.testing.assert_array_equal(
-            inst.evidence[inst.evidence_vars], row[inst.evidence_vars]
-        )
+        ev = inst.evidence != MISSING
+        np.testing.assert_array_equal(inst.evidence[ev], row[ev])
 
 
 def test_evaluate_uniform_model_single_query():

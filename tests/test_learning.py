@@ -26,13 +26,18 @@ from ldfm.model import (
     LdfmModel,
     Variant,
     VariableSchema,
-    lookup_weight,
     make_uniform_model,
     validate_model,
 )
 from ldfm.oracle import brute_edge_posteriors
 
-from conftest import WORKED_Z, model_from_weights, random_model, random_schema
+from conftest import (
+    WORKED_Z,
+    count_method_calls,
+    model_from_weights,
+    random_model,
+    random_schema,
+)
 
 
 def none_config(variant=Variant.PLAIN, **kw) -> TrainConfig:
@@ -56,6 +61,18 @@ def test_e_step_single_sample_worked_example(worked_model, two_binary_schema):
     assert stats.occur[0] == 1
     assert stats.occur[s.row_of(x1t)] == 1
     assert stats.occur[s.row_of(NodeKey(0, 1))] == 0
+
+
+def test_e_step_checks_once_and_builds_rows_once_per_chunk(monkeypatch):
+    schema = VariableSchema(tuple((f"X{i}", ("a", "b", "c")) for i in range(3)))
+    model = random_model(np.random.default_rng(4), schema, Variant.STOP_AUGMENTED)
+    data = np.array(list(np.ndindex(3, 3, 3))[:10] * 2)
+    monkeypatch.setattr(learning, "CHUNK", 4)  # 10 distinct rows: chunks of 4, 4, 2
+    rows = count_method_calls(monkeypatch, VariableSchema, "assignment_rows")
+    checks = count_method_calls(monkeypatch, VariableSchema, "check_assignments")
+    stats = e_step(model, data)
+    assert (len(rows), len(checks)) == (3, 1)
+    assert stats.sample_count == 20
 
 
 def test_e_step_duplicated_dataset_doubles_stats(worked_model):
@@ -232,8 +249,8 @@ def test_e_step_workers_do_not_change_results(worked_model):
 def test_m_step_single_sample_root_ratio(worked_model, two_binary_schema):
     stats = e_step(worked_model, np.array([[0, 0]]))
     new = m_step(stats, none_config(), two_binary_schema)
-    assert lookup_weight(new, ROOT, NodeKey(0, 0)) == pytest.approx(0.4, abs=1e-9)
-    assert lookup_weight(new, ROOT, NodeKey(1, 0)) == pytest.approx(0.6, abs=1e-9)
+    assert new.dep[0, two_binary_schema.col_of(0, 0)] == pytest.approx(0.4, abs=1e-9)
+    assert new.dep[0, two_binary_schema.col_of(1, 0)] == pytest.approx(0.6, abs=1e-9)
     assert validate_model(new, 1e-9) == []
 
 
@@ -244,7 +261,7 @@ def test_m_step_degenerate_count_concentrates(two_binary_schema):
     stats.occur[0] = 1
     stats.edge[0, s.col_of(0, 0)] = 1.0
     new = m_step(stats, none_config(), s)
-    assert lookup_weight(new, ROOT, NodeKey(0, 0)) == pytest.approx(1.0, abs=1e-9)
+    assert new.dep[0, s.col_of(0, 0)] == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("variant", list(Variant))
@@ -287,8 +304,8 @@ def test_m_step_matches_brute_posterior_renormalization():
         stats = e_step(model, x[None, :])
         new = m_step(stats, none_config(), schema)
 
-        post = brute_edge_posteriors(assignment_matrices(model, x)[0])
         rows = schema.assignment_rows(x)
+        post = brute_edge_posteriors(assignment_matrices(model, rows[None])[0])
         for i in range(schema.n + 1):
             out_mass = post[i].sum()
             if out_mass <= 0:
@@ -308,8 +325,8 @@ def test_m_step_stop_variant_expected_stop_counts(two_binary_schema):
     stats = e_step(model, x[None, :])
     new = m_step(stats, none_config(variant=Variant.STOP_AUGMENTED), s)
     # each occurring key stops once per sample: stop = 1 / (1 + outgoing mass)
-    post = brute_edge_posteriors(assignment_matrices(model, x)[0])
     rows = s.assignment_rows(x)
+    post = brute_edge_posteriors(assignment_matrices(model, rows[None])[0])
     for i in range(3):
         out_mass = post[i].sum()
         assert new.stop[rows[i]] == pytest.approx(1.0 / (1.0 + out_mass), abs=1e-9)

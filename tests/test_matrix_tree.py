@@ -18,7 +18,7 @@ from ldfm.matrix_tree import (
 from ldfm.model import LdfmModel, Variant, VariableSchema, make_uniform_model
 from ldfm.oracle import brute_edge_posteriors, brute_log_partition
 
-from conftest import WORKED_Z, random_model, random_schema, worked_graph
+from conftest import WORKED_Z, count_method_calls, random_model, random_schema, worked_graph
 
 
 def random_graph(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -157,7 +157,8 @@ def test_increasing_a_weight_increases_its_posterior(seed, n):
 
 def test_assignment_graph_pulls_model_weights(two_binary_schema):
     model = make_uniform_model(two_binary_schema)
-    w = assignment_matrices(model, np.array([0, 1]))[0]
+    rows = two_binary_schema.assignment_rows(np.array([[0, 1]]))
+    w = assignment_matrices(model, rows)[0]
     assert w.shape == (3, 2)
     assert w[0, 0] == pytest.approx(0.25)
     assert w[0, 1] == pytest.approx(0.25)
@@ -168,15 +169,16 @@ def test_assignment_graph_pulls_model_weights(two_binary_schema):
 
 def test_assignment_graph_rejects_incomplete_assignment(two_binary_schema):
     model = make_uniform_model(two_binary_schema)
-    with pytest.raises(ValueError):
-        assignment_matrices(model, np.array([0, -1]))
+    with pytest.raises(ValueError, match="incomplete"):
+        unnormalized_log_joint_many(model, np.array([0, -1]))
 
 
 def test_log_joint_matches_partition_for_plain(two_binary_schema):
     model = make_uniform_model(two_binary_schema)
     x = np.array([1, 0])
     lj = unnormalized_log_joint_many(model, x)[0]
-    lp = log_partition_many(assignment_matrices(model, x))[0]
+    rows = two_binary_schema.assignment_rows(x[None])
+    lp = log_partition_many(assignment_matrices(model, rows))[0]
     assert lj == pytest.approx(lp, rel=1e-12)
 
 
@@ -192,18 +194,30 @@ def test_plain_log_joint_is_exactly_the_log_partition():
     xs[:10, 0] = 0
     xs[10:, 0] = 1
     joint = unnormalized_log_joint_many(model, xs, on_singular="neginf")
-    logz = log_partition_many(assignment_matrices(model, xs), on_singular="neginf")
+    logz = log_partition_many(
+        assignment_matrices(model, schema.assignment_rows(xs)), on_singular="neginf"
+    )
     assert np.isneginf(joint[:10]).all() and np.isfinite(joint[10:]).all()
     np.testing.assert_array_equal(joint, logz)
     np.testing.assert_array_equal(unnormalized_log_joint_many(model, xs[10:]), logz[10:])
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_log_joint_checks_and_builds_rows_once(monkeypatch, variant):
+    schema = random_schema(np.random.default_rng(3), 4)
+    model = make_uniform_model(schema, variant)
+    rows = count_method_calls(monkeypatch, VariableSchema, "assignment_rows")
+    checks = count_method_calls(monkeypatch, VariableSchema, "check_assignments")
+    unnormalized_log_joint_many(model, np.zeros((5, 4), dtype=np.int64))
+    assert (len(rows), len(checks)) == (1, 1)
 
 
 def test_log_joint_stop_variant_adds_stop_terms(two_binary_schema):
     model = make_uniform_model(two_binary_schema, Variant.STOP_AUGMENTED)
     x = np.array([1, 0])
     lj = unnormalized_log_joint_many(model, x)[0]
-    lp = log_partition_many(assignment_matrices(model, x))[0]
     rows = two_binary_schema.assignment_rows(x)
+    lp = log_partition_many(assignment_matrices(model, rows[None]))[0]
     assert lj == pytest.approx(lp + np.log(model.stop[rows]).sum(), rel=1e-12)
 
 

@@ -3,16 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ldfm.dataio import Dataset
+from ldfm.learning import TrainConfig, train_em
+from ldfm.matrix_tree import unnormalized_log_joint_many
 from ldfm.model import (
+    MISSING,
     NodeKey,
     ROOT,
     LdfmModel,
     Variant,
     VariableSchema,
-    lookup_weight,
     make_uniform_model,
     validate_model,
 )
+from ldfm.oracle import brute_unnormalized_joint
 
 from conftest import random_model, random_schema
 
@@ -37,6 +41,44 @@ def test_schema_rejects_separators_in_names_and_labels(text, where):
         VariableSchema(variables)
 
 
+@pytest.mark.parametrize("text", [" y", "y ", "y\t", " "])
+@pytest.mark.parametrize("where", ["name", "label"])
+def test_schema_rejects_padded_names_and_labels(text, where):
+    # query bindings are stripped, so a padded label could never be queried
+    variables = ((text, ("x", "y")),) if where == "name" else (("A", ("x", text)),)
+    with pytest.raises(ValueError, match="leading or trailing whitespace"):
+        VariableSchema(variables)
+
+
+BAD_ASSIGNMENTS = {
+    "wrong-width": [[0, 1, 0]],
+    "missing": [[0, MISSING]],
+    "domain-size": [[0, 2]],
+    "minus-two": [[-2, 0]],
+}
+
+
+@pytest.mark.parametrize("xs", BAD_ASSIGNMENTS.values(), ids=BAD_ASSIGNMENTS.keys())
+def test_every_entry_point_rejects_a_bad_assignment(two_binary_schema, xs):
+    model = make_uniform_model(two_binary_schema)
+    xs = np.array(xs)
+    with pytest.raises(ValueError):
+        two_binary_schema.check_assignments(xs)
+    with pytest.raises(ValueError):
+        Dataset(two_binary_schema, xs)
+    with pytest.raises(ValueError):
+        train_em(xs, two_binary_schema, TrainConfig(max_iters=1))
+    with pytest.raises(ValueError):
+        unnormalized_log_joint_many(model, xs)
+    with pytest.raises(ValueError):
+        brute_unnormalized_joint(model, xs[0])
+
+
+def test_check_assignments_returns_int64_rows(two_binary_schema):
+    xs = two_binary_schema.check_assignments(np.array([1, 0], dtype=np.uint8))
+    assert xs.dtype == np.int64 and xs.tolist() == [[1, 0]]
+
+
 def test_schema_index_arithmetic():
     schema = VariableSchema((("A", ("T", "F")), ("B", ("x", "y", "z"))))
     assert schema.n == 2
@@ -53,10 +95,11 @@ def test_schema_index_arithmetic():
 def test_uniform_plain_two_binary(two_binary_schema):
     model = make_uniform_model(two_binary_schema, Variant.PLAIN)
     # root has 4 targets, each pair key has the 2 values of the other variable
-    assert lookup_weight(model, ROOT, NodeKey(0, 0)) == pytest.approx(0.25)
+    s = two_binary_schema
+    assert model.dep[s.row_of(ROOT), s.col_of(0, 0)] == pytest.approx(0.25)
     for val in range(2):
         for tval in range(2):
-            assert lookup_weight(model, NodeKey(0, val), NodeKey(1, tval)) == pytest.approx(0.5)
+            assert model.dep[s.row_of(NodeKey(0, val)), s.col_of(1, tval)] == pytest.approx(0.5)
     assert validate_model(model, 1e-9) == []
 
 
@@ -67,7 +110,7 @@ def test_uniform_stop_three_ternary():
     model = make_uniform_model(schema, Variant.STOP_AUGMENTED)
     row = schema.row_of(NodeKey(0, 1))
     assert model.stop[row] == pytest.approx(1 / 7)
-    assert lookup_weight(model, NodeKey(0, 1), NodeKey(2, 0)) == pytest.approx(1 / 7)
+    assert model.dep[row, schema.col_of(2, 0)] == pytest.approx(1 / 7)
     assert validate_model(model, 1e-9) == []
 
 
@@ -111,16 +154,6 @@ def test_validate_single_variable_plain_model_skips_empty_rows():
     schema = VariableSchema((("A", ("T", "F")),))
     model = make_uniform_model(schema, Variant.PLAIN)
     assert validate_model(model, 1e-9) == []
-
-
-def test_lookup_weight_rejects_bad_keys(two_binary_schema):
-    model = make_uniform_model(two_binary_schema)
-    with pytest.raises(ValueError):
-        lookup_weight(model, NodeKey(0, 0), NodeKey(0, 1))
-    with pytest.raises(ValueError):
-        lookup_weight(model, ROOT, NodeKey(1, 5))
-    with pytest.raises(ValueError):
-        lookup_weight(model, NodeKey(0, 0), ROOT)
 
 
 def test_model_arrays_are_frozen(two_binary_schema):

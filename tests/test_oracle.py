@@ -11,6 +11,7 @@ from ldfm.oracle import (
     brute_valid_normalizer,
     enumerate_rooted_trees,
     exact_conditional,
+    logsumexp,
 )
 
 from conftest import WORKED_Z, model_from_weights, random_model, worked_graph
@@ -21,6 +22,32 @@ def test_tree_counts_match_cayley_formula():
     for n in range(1, 7):
         count = sum(1 for _ in enumerate_rooted_trees(n))
         assert count == (n + 1) ** (n - 1)
+
+
+def per_cell_edge_posteriors(weights: np.ndarray) -> np.ndarray:
+    """Reference: one masked log-sum-exp over the enumerated trees per cell."""
+    n = weights.shape[1]
+    trees = np.array(list(enumerate_rooted_trees(n)))
+    with np.errstate(divide="ignore"):
+        tree_logw = np.log(weights)[trees, np.arange(n)].sum(axis=1)
+    log_z = logsumexp(tree_logw)
+    post = np.zeros((n + 1, n))
+    for j in range(n):
+        for i in range(n + 1):
+            post[i, j] = np.exp(logsumexp(tree_logw[trees[:, j] == i]) - log_z)
+    return post
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_brute_edge_posteriors_equal_the_per_cell_sums(n):
+    rng = np.random.default_rng(60 + n)
+    for _ in range(3):
+        w = rng.uniform(0.01, 1.0, size=(n + 1, n))
+        w[rng.random(w.shape) < 0.2] = 0.0  # some absent edges
+        w[0] = np.maximum(w[0], 0.01)  # every node may still hang off the root
+        np.testing.assert_allclose(
+            brute_edge_posteriors(w), per_cell_edge_posteriors(w), rtol=1e-12, atol=1e-15
+        )
 
 
 def test_three_trees_for_two_nodes():
