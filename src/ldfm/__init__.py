@@ -47,17 +47,14 @@ from .matrix_tree import (
 )
 from .model import (
     MISSING,
-    ROOT,
     LdfmModel,
-    NodeKey,
     Variant,
     VariableSchema,
     make_uniform_model,
     validate_model,
 )
 from .oracle import (
-    brute_edge_posteriors,
-    brute_log_partition,
+    brute_partition_and_posteriors,
     brute_unnormalized_joint,
     brute_valid_normalizer,
     enumerate_rooted_trees,
@@ -84,10 +81,8 @@ __all__ = [
     "LdfmModel",
     "MISSING",
     "ModelFormatError",
-    "NodeKey",
     "NumericConsistencyError",
     "QueryInstance",
-    "ROOT",
     "SamplerConfig",
     "SamplerKind",
     "SingularLaplacianError",
@@ -96,8 +91,7 @@ __all__ = [
     "TrainConfig",
     "VariableSchema",
     "Variant",
-    "brute_edge_posteriors",
-    "brute_log_partition",
+    "brute_partition_and_posteriors",
     "brute_unnormalized_joint",
     "brute_valid_normalizer",
     "data_log_likelihood",

@@ -36,7 +36,7 @@ from .matrix_tree import (
     partition_and_posteriors_many,
 )
 from .model import MISSING, Variant
-from .oracle import MAX_TREE_N, brute_edge_posteriors, brute_log_partition
+from .oracle import MAX_TREE_N, brute_partition_and_posteriors
 from .rng import make_rng
 
 CHECK_TOL = 1e-9
@@ -263,10 +263,10 @@ def _cmd_check(args) -> int:
     for _ in range(args.trials):
         w = rng.uniform(0.01, 1.0, size=(n + 1, n))
         logz, post = partition_and_posteriors_many(w[None])
-        brute = brute_log_partition(w)
-        worst_logz = max(worst_logz, abs(float(logz[0]) - brute) / max(abs(brute), 1.0))
-        diff = np.abs(post[0] - brute_edge_posteriors(w)).max()
-        worst_post = max(worst_post, float(diff))
+        brute_logz, brute_post = brute_partition_and_posteriors(w)
+        err = abs(float(logz[0]) - brute_logz) / max(abs(brute_logz), 1.0)
+        worst_logz = max(worst_logz, err)
+        worst_post = max(worst_post, float(np.abs(post[0] - brute_post).max()))
     ok = worst_logz < CHECK_TOL and worst_post < CHECK_TOL
     sys.stdout.write(
         f"check n={n} trials={args.trials} seed={args.seed} "
@@ -298,7 +298,7 @@ def dispatch(argv: list[str]) -> int:
     except (SingularLaplacianError, NumericConsistencyError) as exc:
         sys.stderr.write(f"numeric failure: {exc}\n")
         return 3
-    except (DatasetFormatError, ModelFormatError, FileNotFoundError, KeyError, ValueError) as exc:
+    except (DatasetFormatError, ModelFormatError, OSError, KeyError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -159,10 +159,9 @@ def _model_payload(model: LdfmModel) -> dict:
     def row_weights(row: int) -> dict:
         out: dict = {}
         for col in np.nonzero(schema.source_mask[row])[0]:
-            key = schema.key_of_col(int(col))
-            var_name = names[key.var]
-            label = schema.variables[key.var][1][key.val]
-            out.setdefault(var_name, {})[label] = float(model.dep[row, col])
+            var = int(schema.key_var[col])
+            name, dom = schema.variables[var]
+            out.setdefault(name, {})[dom[col - schema.offsets[var]]] = float(model.dep[row, col])
         return out
 
     payload: dict = {
@@ -236,8 +235,7 @@ def _model_from_payload(payload: dict, path) -> LdfmModel:
     if missing.size:
         row, col = missing[0]
         raise ModelFormatError(
-            f"{path}: no weight for {schema.describe_row(row)} -> "
-            f"{schema.describe_key(schema.key_of_col(col))}"
+            f"{path}: no weight for {schema.describe_row(row)} -> {schema.describe_row(1 + col)}"
         )
 
     stop = None

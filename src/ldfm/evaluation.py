@@ -10,6 +10,7 @@ the floor any dependency-aware model should beat.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -67,6 +68,9 @@ def make_query_instances(
     """
     if count < 1:
         raise ValueError(f"instance count must be at least 1, got {count}")
+    # NaN fails every comparison, so finiteness is checked first
+    if not (math.isfinite(q_frac) and math.isfinite(e_frac)):
+        raise ValueError(f"q_frac and e_frac must be finite, got {q_frac} and {e_frac}")
     if q_frac < 0 or e_frac < 0 or q_frac + e_frac > 1 + 1e-12:
         raise ValueError("fractions must be nonnegative with q_frac + e_frac <= 1")
     if len(dataset) == 0:

@@ -46,24 +46,6 @@ class Variant(enum.Enum):
     STOP_AUGMENTED = "stop"
 
 
-@dataclass(frozen=True, order=True)
-class NodeKey:
-    """The dummy root, or a concrete <variable, value> pair (as indices)."""
-
-    var: int = -1
-    val: int = -1
-
-    @property
-    def is_root(self) -> bool:
-        return self.var < 0
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "ROOT" if self.is_root else f"NodeKey({self.var}, {self.val})"
-
-
-ROOT = NodeKey()
-
-
 @dataclass(frozen=True)
 class VariableSchema:
     """Ordered collection of named variables with finite value domains."""
@@ -176,26 +158,15 @@ class VariableSchema:
             raise ValueError(f"value index {val} out of range for variable {self.names[var]!r}")
         return int(self.offsets[var] + val)
 
-    def row_of(self, key: NodeKey) -> int:
-        """Source-row index of a node key (0 is the root)."""
-        if key.is_root:
-            return 0
-        return 1 + self.col_of(key.var, key.val)
-
-    def key_of_col(self, col: int) -> NodeKey:
-        var = int(self.key_var[col])
-        return NodeKey(var, int(col - self.offsets[var]))
-
-    def describe_key(self, key: NodeKey) -> str:
-        if key.is_root:
-            return "root"
-        name, dom = self.variables[key.var]
-        return f"{name}={dom[key.val]}"
-
     def describe_row(self, row: int) -> str:
-        """Readable name of a source row (0 is the root)."""
+        """Readable name of a source row: "root" for row 0, else the
+        ``name=label`` of the pair key at column ``row - 1``."""
         row = int(row)
-        return "root" if row == 0 else self.describe_key(self.key_of_col(row - 1))
+        if row == 0:
+            return "root"
+        var = int(self.key_var[row - 1])
+        name, dom = self.variables[var]
+        return f"{name}={dom[row - 1 - self.offsets[var]]}"
 
     def check_assignments(self, xs) -> np.ndarray:
         """``xs`` as a (B, n) int64 array of complete assignments, shape (n,)

@@ -86,33 +86,25 @@ def _tree_log_weights(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return trees, logw[trees, np.arange(n)].sum(axis=1)
 
 
-def _log_total(tree_logw: np.ndarray) -> float:
-    total = logsumexp(tree_logw)
-    if not np.isfinite(total):
-        raise ValueError("all spanning trees have zero weight")
-    return total
-
-
-def brute_log_partition(weights: np.ndarray) -> float:
-    """Log of the sum over all rooted spanning trees of the edge-weight product.
+def brute_partition_and_posteriors(weights: np.ndarray) -> tuple[float, np.ndarray]:
+    """Log partition and (n+1, n) edge posteriors by summation over enumerated trees.
 
     ``weights`` is one (n+1, n) edge table, ``weights[i, j]`` the edge from
-    source i (0 = root) into node j+1; self-loop cells are never read.
-    """
-    return _log_total(_tree_log_weights(weights)[1])
-
-
-def brute_edge_posteriors(weights: np.ndarray) -> np.ndarray:
-    """(n+1, n) edge posteriors by summation over enumerated trees; self-loop cells are 0.
-
-    Column j sums each tree's normalized weight into the cell of node j+1's
-    parent in that tree.
+    source i (0 = root) into node j+1; self-loop cells are never read and
+    get posterior 0.  Log Z sums every rooted spanning tree's edge-weight
+    product; column j of the posteriors sums each tree's normalized weight
+    into the cell of node j+1's parent in that tree.  One enumeration pass
+    serves both, as :func:`~ldfm.matrix_tree.partition_and_posteriors_many`
+    does for a batch.
     """
     trees, tree_logw = _tree_log_weights(weights)
-    tree_p = np.exp(tree_logw - _log_total(tree_logw))
+    log_z = logsumexp(tree_logw)
+    if not np.isfinite(log_z):
+        raise ValueError("all spanning trees have zero weight")
+    tree_p = np.exp(tree_logw - log_z)
     n = trees.shape[1]
     columns = [np.bincount(trees[:, j], weights=tree_p, minlength=n + 1) for j in range(n)]
-    return np.stack(columns, axis=1)
+    return log_z, np.stack(columns, axis=1)
 
 
 def _log_joint_or_neginf(model: LdfmModel, x: np.ndarray) -> float:

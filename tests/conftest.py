@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ldfm.model import NodeKey, ROOT, LdfmModel, Variant, VariableSchema
+from ldfm.model import LdfmModel, Variant, VariableSchema
 
 # Worked 2-node example used across modules: three spanning trees with
 # weights 0.2*0.3 + 0.2*0.4 + 0.3*0.5 = 0.29, edge masses 0.14/0.21/0.08/0.15.
@@ -23,20 +23,28 @@ def worked_graph() -> np.ndarray:
 
 def model_from_weights(
     schema: VariableSchema,
-    entries: dict[tuple[NodeKey, NodeKey], float],
+    entries: dict[tuple, float],
     variant: Variant = Variant.PLAIN,
-    stop: dict[NodeKey, float] | None = None,
+    stop: dict | None = None,
 ) -> LdfmModel:
-    """Build a model from explicit (source, target) -> weight entries."""
+    """Build a model from explicit (source, target) -> weight entries.
+
+    A source is None for the root or a (var, val) pair; a target is a
+    (var, val) pair.  ``stop`` maps sources the same way.
+    """
+
+    def row(src) -> int:
+        return 0 if src is None else 1 + schema.col_of(*src)
+
     k = schema.num_keys
     dep = np.zeros((1 + k, k))
     for (src, tgt), w in entries.items():
-        dep[schema.row_of(src), schema.col_of(tgt.var, tgt.val)] = w
+        dep[row(src), schema.col_of(*tgt)] = w
     stop_arr = None
     if variant is Variant.STOP_AUGMENTED:
         stop_arr = np.zeros(1 + k)
-        for key, w in (stop or {}).items():
-            stop_arr[schema.row_of(key)] = w
+        for src, w in (stop or {}).items():
+            stop_arr[row(src)] = w
     return LdfmModel(schema, variant, dep, stop_arr)
 
 
@@ -49,15 +57,15 @@ def two_binary_schema() -> VariableSchema:
 def worked_model(two_binary_schema) -> LdfmModel:
     """2-binary model whose graph at assignment (T, T) is the worked example."""
     s = two_binary_schema
-    x1t, x1f = NodeKey(0, 0), NodeKey(0, 1)
-    x2t, x2f = NodeKey(1, 0), NodeKey(1, 1)
+    x1t, x1f = (0, 0), (0, 1)
+    x2t, x2f = (1, 0), (1, 1)
     return model_from_weights(
         s,
         {
-            (ROOT, x1t): WORKED_W01,
-            (ROOT, x2t): WORKED_W02,
-            (ROOT, x1f): 0.3,
-            (ROOT, x2f): 0.2,
+            (None, x1t): WORKED_W01,
+            (None, x2t): WORKED_W02,
+            (None, x1f): 0.3,
+            (None, x2f): 0.2,
             (x1t, x2t): WORKED_W12,
             (x1t, x2f): 0.6,
             (x1f, x2t): 0.5,

@@ -325,6 +325,31 @@ def test_missing_file_exits_two(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("train", "--data", "{data}", "--out", "{dir}", "--iters", "1"),
+        ("train", "--data", "{data}", "--schema", "{dir}", "--out", "{out}"),
+        ("eval", "--model", "{model}", "--data", "{dir}", "--seed", "1"),
+        (
+            "eval", "--model", "{model}", "--data", "{data}", "--out", "{dir}",
+            "--instances", "1", "--samples", "5", "--seed", "1",
+        ),
+        ("query", "--model", "{dir}", "--query", "V1=a", "--seed", "1"),
+        ("gen-data", "--n", "8", "--samples", "5", "--out", "{dir}", "--seed", "1"),
+    ],
+    ids=["train-out", "train-schema", "eval-data", "eval-out", "query-model", "gen-data-out"],
+)
+def test_directory_as_a_path_argument_exits_two(tmp_path, capsys, argv):
+    data, model_path = tmp_path / "d.csv", tmp_path / "m.model"
+    run(capsys, "gen-data", "--n", "8", "--samples", "40", "--seed", "3", "--out", str(data))
+    run(capsys, "train", "--data", str(data), "--out", str(model_path), "--iters", "1")
+    paths = {"data": data, "model": model_path, "dir": tmp_path, "out": tmp_path / "o.model"}
+    code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 2
+    assert "error: [Errno" in err and str(tmp_path) in err
+
+
 def test_bad_query_binding_exits_two(tmp_path, capsys):
     data = tmp_path / "d.csv"
     run(capsys, "gen-data", "--n", "8", "--samples", "100", "--seed", "2", "--out", str(data))
@@ -466,6 +491,26 @@ def test_eval_with_zero_instances_exits_two(tmp_path, capsys):
     assert code == 2
     assert "nan" not in out
     assert "instance count" in err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [("--q-frac", "nan"), ("--e-frac", "nan"), ("--q-frac", "inf")],
+    ids=["q-nan", "e-nan", "q-inf"],
+)
+def test_eval_rejects_non_finite_fractions(tmp_path, capsys, flags):
+    data = tmp_path / "d.csv"
+    run(capsys, "gen-data", "--n", "8", "--samples", "40", "--seed", "4", "--out", str(data))
+    model_path = tmp_path / "m.model"
+    run(capsys, "train", "--data", str(data), "--out", str(model_path), "--iters", "1")
+    code, out, err = run(
+        capsys,
+        "eval", "--model", str(model_path), "--data", str(data), "--instances", "2",
+        "--samples", "5", "--seed", "1", *flags,
+    )
+    assert code == 2
+    assert out == ""
+    assert "q_frac and e_frac must be finite" in err
 
 
 @pytest.mark.parametrize(

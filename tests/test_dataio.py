@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -18,7 +19,7 @@ from ldfm.dataio import (
     save_schema,
     _payload_checksum,
 )
-from ldfm.model import NodeKey, ROOT, Variant, VariableSchema, make_uniform_model
+from ldfm.model import Variant, VariableSchema, make_uniform_model
 
 from conftest import model_from_weights, random_model
 
@@ -117,6 +118,28 @@ def test_model_round_trip_is_bit_exact(tmp_path, variant):
     np.testing.assert_array_equal(back.dep, model.dep)
     if variant is Variant.STOP_AUGMENTED:
         np.testing.assert_array_equal(back.stop, model.stop)
+
+
+# sha256 of save_model's bytes for fixed-weight models; the weights are exact
+# binary fractions or simple quotients, so the digests do not depend on numpy
+SAVED_MODEL_SHA256 = {
+    "worked-plain": "868f90292a7fc8ed85e146da30cd776bbf825403fa0f67cfbdbc56302731816d",
+    "uniform-plain": "b7d191a172ef410666ca9cea918cc6bb4df9e22d76477b81fc22a207933a902a",
+    "uniform-stop": "d6c6686603eafc30a57893948a0c8a7b1806b7aa0183963894718ad7acac722d",
+}
+
+
+@pytest.mark.parametrize("name", SAVED_MODEL_SHA256)
+def test_saved_model_bytes_are_pinned(tmp_path, worked_model, name):
+    mixed = VariableSchema((("A", ("T", "F")), ("B", ("x", "y", "z"))))
+    model = {
+        "worked-plain": worked_model,
+        "uniform-plain": make_uniform_model(mixed, Variant.PLAIN),
+        "uniform-stop": make_uniform_model(mixed, Variant.STOP_AUGMENTED),
+    }[name]
+    p = tmp_path / "m.model"
+    save_model(model, p)
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == SAVED_MODEL_SHA256[name]
 
 
 def test_model_truncated_file_rejected(tmp_path):

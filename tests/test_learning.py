@@ -21,15 +21,13 @@ from ldfm.learning import (
 from ldfm.matrix_tree import SingularLaplacianError, assignment_matrices
 from ldfm.model import (
     WEIGHT_FLOOR,
-    NodeKey,
-    ROOT,
     LdfmModel,
     Variant,
     VariableSchema,
     make_uniform_model,
     validate_model,
 )
-from ldfm.oracle import brute_edge_posteriors
+from ldfm.oracle import brute_partition_and_posteriors
 
 from conftest import (
     WORKED_Z,
@@ -50,17 +48,16 @@ def test_e_step_single_sample_worked_example(worked_model, two_binary_schema):
     assert stats.sample_count == 1
     assert stats.loglik == pytest.approx(math.log(WORKED_Z), rel=1e-12)
 
-    def edge(src, tgt):
-        return stats.edge[s.row_of(src), s.col_of(tgt.var, tgt.val)]
-
-    x1t, x2t = NodeKey(0, 0), NodeKey(1, 0)
-    assert edge(ROOT, x1t) == pytest.approx(0.14 / WORKED_Z, rel=1e-9)
-    assert edge(ROOT, x2t) == pytest.approx(0.21 / WORKED_Z, rel=1e-9)
-    assert edge(x1t, x2t) == pytest.approx(0.08 / WORKED_Z, rel=1e-9)
-    assert edge(x2t, x1t) == pytest.approx(0.15 / WORKED_Z, rel=1e-9)
+    # key columns X1=T 0, X1=F 1, X2=T 2, X2=F 3; source row 0 is the root
+    # and a pair key's source row is 1 + its column
+    x1t, x2t = s.col_of(0, 0), s.col_of(1, 0)
+    assert stats.edge[0, x1t] == pytest.approx(0.14 / WORKED_Z, rel=1e-9)
+    assert stats.edge[0, x2t] == pytest.approx(0.21 / WORKED_Z, rel=1e-9)
+    assert stats.edge[1 + x1t, x2t] == pytest.approx(0.08 / WORKED_Z, rel=1e-9)
+    assert stats.edge[1 + x2t, x1t] == pytest.approx(0.15 / WORKED_Z, rel=1e-9)
     assert stats.occur[0] == 1
-    assert stats.occur[s.row_of(x1t)] == 1
-    assert stats.occur[s.row_of(NodeKey(0, 1))] == 0
+    assert stats.occur[1 + x1t] == 1
+    assert stats.occur[1 + s.col_of(0, 1)] == 0
 
 
 def test_e_step_checks_once_and_builds_rows_once_per_chunk(monkeypatch):
@@ -107,11 +104,11 @@ def test_e_step_single_variable_model():
 
 def test_e_step_reports_singular_sample_index(two_binary_schema):
     s = two_binary_schema
-    x1t, x2t = NodeKey(0, 0), NodeKey(1, 0)
+    x1t, x2t = (0, 0), (1, 0)
     # no root weight into the (F, F) assignment: its graph has no spanning tree
     model = model_from_weights(
         s,
-        {(ROOT, x1t): 0.5, (ROOT, x2t): 0.5, (x1t, x2t): 1.0, (x2t, x1t): 1.0},
+        {(None, x1t): 0.5, (None, x2t): 0.5, (x1t, x2t): 1.0, (x2t, x1t): 1.0},
     )
     with pytest.raises(SingularLaplacianError, match="sample 1"):
         e_step(model, np.array([[0, 0], [1, 1]]))
@@ -119,10 +116,10 @@ def test_e_step_reports_singular_sample_index(two_binary_schema):
 
 def test_e_step_singular_index_counts_from_the_whole_dataset(two_binary_schema):
     s = two_binary_schema
-    x1t, x2t = NodeKey(0, 0), NodeKey(1, 0)
+    x1t, x2t = (0, 0), (1, 0)
     model = model_from_weights(
         s,
-        {(ROOT, x1t): 0.5, (ROOT, x2t): 0.5, (x1t, x2t): 1.0, (x2t, x1t): 1.0},
+        {(None, x1t): 0.5, (None, x2t): 0.5, (x1t, x2t): 1.0, (x2t, x1t): 1.0},
     )
     data = np.zeros((300, 2), dtype=np.int64)
     data[270] = [1, 1]  # in the second chunk of CHUNK = 256 rows
@@ -133,11 +130,11 @@ def test_e_step_singular_index_counts_from_the_whole_dataset(two_binary_schema):
 
 def test_e_step_singular_index_after_dedup_names_the_first_occurrence(two_binary_schema):
     s = two_binary_schema
-    x1t, x2t = NodeKey(0, 0), NodeKey(1, 0)
+    x1t, x2t = (0, 0), (1, 0)
     # only (T, T) has a spanning tree: every assignment with an F is singular
     model = model_from_weights(
         s,
-        {(ROOT, x1t): 0.5, (ROOT, x2t): 0.5, (x1t, x2t): 1.0, (x2t, x1t): 1.0},
+        {(None, x1t): 0.5, (None, x2t): 0.5, (x1t, x2t): 1.0, (x2t, x1t): 1.0},
     )
     data = np.zeros((400, 2), dtype=np.int64)
     data[40] = data[300] = [1, 1]
@@ -291,7 +288,7 @@ def test_m_step_unseen_sources_get_uniform_rows(worked_model, two_binary_schema)
     s = two_binary_schema
     stats = e_step(worked_model, np.array([[0, 0]]))
     new = m_step(stats, none_config(), s)
-    unseen = s.row_of(NodeKey(0, 1))
+    unseen = 1 + s.col_of(0, 1)
     np.testing.assert_allclose(new.dep[unseen][new.dep[unseen] > 0], 0.5)
 
 
@@ -305,7 +302,7 @@ def test_m_step_matches_brute_posterior_renormalization():
         new = m_step(stats, none_config(), schema)
 
         rows = schema.assignment_rows(x)
-        post = brute_edge_posteriors(assignment_matrices(model, rows[None])[0])
+        _, post = brute_partition_and_posteriors(assignment_matrices(model, rows[None])[0])
         for i in range(schema.n + 1):
             out_mass = post[i].sum()
             if out_mass <= 0:
@@ -326,7 +323,7 @@ def test_m_step_stop_variant_expected_stop_counts(two_binary_schema):
     new = m_step(stats, none_config(variant=Variant.STOP_AUGMENTED), s)
     # each occurring key stops once per sample: stop = 1 / (1 + outgoing mass)
     rows = s.assignment_rows(x)
-    post = brute_edge_posteriors(assignment_matrices(model, rows[None])[0])
+    _, post = brute_partition_and_posteriors(assignment_matrices(model, rows[None])[0])
     for i in range(3):
         out_mass = post[i].sum()
         assert new.stop[rows[i]] == pytest.approx(1.0 / (1.0 + out_mass), abs=1e-9)

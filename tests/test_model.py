@@ -8,8 +8,6 @@ from ldfm.learning import TrainConfig, train_em
 from ldfm.matrix_tree import unnormalized_log_joint_many
 from ldfm.model import (
     MISSING,
-    NodeKey,
-    ROOT,
     LdfmModel,
     Variant,
     VariableSchema,
@@ -84,10 +82,9 @@ def test_schema_index_arithmetic():
     assert schema.n == 2
     assert schema.num_keys == 5
     assert list(schema.offsets) == [0, 2]
-    assert schema.row_of(ROOT) == 0
-    assert schema.row_of(NodeKey(1, 2)) == 5
-    assert schema.key_of_col(3) == NodeKey(1, 1)
-    assert schema.describe_key(NodeKey(0, 1)) == "A=F"
+    rows = range(1 + schema.num_keys)
+    labels = ["root", "A=T", "A=F", "B=x", "B=y", "B=z"]
+    assert [schema.describe_row(row) for row in rows] == labels
     with pytest.raises(ValueError):
         schema.col_of(1, 3)
 
@@ -96,10 +93,10 @@ def test_uniform_plain_two_binary(two_binary_schema):
     model = make_uniform_model(two_binary_schema, Variant.PLAIN)
     # root has 4 targets, each pair key has the 2 values of the other variable
     s = two_binary_schema
-    assert model.dep[s.row_of(ROOT), s.col_of(0, 0)] == pytest.approx(0.25)
+    assert model.dep[0, s.col_of(0, 0)] == pytest.approx(0.25)
     for val in range(2):
         for tval in range(2):
-            assert model.dep[s.row_of(NodeKey(0, val)), s.col_of(1, tval)] == pytest.approx(0.5)
+            assert model.dep[1 + s.col_of(0, val), s.col_of(1, tval)] == pytest.approx(0.5)
     assert validate_model(model, 1e-9) == []
 
 
@@ -108,7 +105,7 @@ def test_uniform_stop_three_ternary():
         tuple((f"X{i}", ("a", "b", "c")) for i in range(3))
     )
     model = make_uniform_model(schema, Variant.STOP_AUGMENTED)
-    row = schema.row_of(NodeKey(0, 1))
+    row = 1 + schema.col_of(0, 1)
     assert model.stop[row] == pytest.approx(1 / 7)
     assert model.dep[row, schema.col_of(2, 0)] == pytest.approx(1 / 7)
     assert validate_model(model, 1e-9) == []
@@ -124,7 +121,7 @@ def test_uniform_model_is_deterministic(two_binary_schema):
 def test_validate_flags_scaled_row(two_binary_schema):
     base = make_uniform_model(two_binary_schema)
     dep = base.dep.copy()
-    row = two_binary_schema.row_of(NodeKey(0, 0))
+    row = 1 + two_binary_schema.col_of(0, 0)
     dep[row] *= 1.1
     bad = LdfmModel(two_binary_schema, Variant.PLAIN, dep)
     violations = validate_model(bad, 1e-9)

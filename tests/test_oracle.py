@@ -5,8 +5,7 @@ import pytest
 
 from ldfm.model import MISSING, Variant, make_uniform_model
 from ldfm.oracle import (
-    brute_edge_posteriors,
-    brute_log_partition,
+    brute_partition_and_posteriors,
     brute_unnormalized_joint,
     brute_valid_normalizer,
     enumerate_rooted_trees,
@@ -15,7 +14,7 @@ from ldfm.oracle import (
 )
 
 from conftest import WORKED_Z, model_from_weights, random_model, worked_graph
-from ldfm.model import NodeKey, ROOT, VariableSchema
+from ldfm.model import VariableSchema
 
 
 def test_tree_counts_match_cayley_formula():
@@ -45,9 +44,8 @@ def test_brute_edge_posteriors_equal_the_per_cell_sums(n):
         w = rng.uniform(0.01, 1.0, size=(n + 1, n))
         w[rng.random(w.shape) < 0.2] = 0.0  # some absent edges
         w[0] = np.maximum(w[0], 0.01)  # every node may still hang off the root
-        np.testing.assert_allclose(
-            brute_edge_posteriors(w), per_cell_edge_posteriors(w), rtol=1e-12, atol=1e-15
-        )
+        _, post = brute_partition_and_posteriors(w)
+        np.testing.assert_allclose(post, per_cell_edge_posteriors(w), rtol=1e-12, atol=1e-15)
 
 
 def test_three_trees_for_two_nodes():
@@ -75,14 +73,14 @@ def test_n_over_cap_rejected():
 
 
 def test_brute_log_partition_worked_example():
-    lp = brute_log_partition(worked_graph())
+    lp, _ = brute_partition_and_posteriors(worked_graph())
     assert lp == pytest.approx(math.log(WORKED_Z), rel=1e-12)
 
 
 def test_brute_log_partition_single_node():
     w = np.zeros((2, 1))
     w[0, 0] = 0.7
-    assert brute_log_partition(w) == pytest.approx(math.log(0.7))
+    assert brute_partition_and_posteriors(w)[0] == pytest.approx(math.log(0.7))
 
 
 def test_brute_log_partition_uniform_two_binary():
@@ -94,11 +92,11 @@ def test_brute_log_partition_uniform_two_binary():
 
 def test_brute_log_partition_zero_weight_errors():
     with pytest.raises(ValueError):
-        brute_log_partition(np.zeros((3, 2)))
+        brute_partition_and_posteriors(np.zeros((3, 2)))
 
 
 def test_brute_edge_posteriors_worked_example():
-    post = brute_edge_posteriors(worked_graph())
+    _, post = brute_partition_and_posteriors(worked_graph())
     assert post[0, 0] == pytest.approx(0.14 / WORKED_Z, rel=1e-12)
     assert post[0, 1] == pytest.approx(0.21 / WORKED_Z, rel=1e-12)
     assert post[1, 1] == pytest.approx(0.08 / WORKED_Z, rel=1e-12)
@@ -108,26 +106,26 @@ def test_brute_edge_posteriors_worked_example():
 def test_brute_edge_posteriors_single_node():
     w = np.zeros((2, 1))
     w[0, 0] = 0.5
-    assert brute_edge_posteriors(w)[0, 0] == pytest.approx(1.0)
+    assert brute_partition_and_posteriors(w)[1][0, 0] == pytest.approx(1.0)
 
 
 def test_brute_edge_posterior_columns_sum_to_one():
     rng = np.random.default_rng(3)
     for n in (2, 3, 4):
         w = rng.uniform(0.01, 1.0, size=(n + 1, n))
-        post = brute_edge_posteriors(w)
+        _, post = brute_partition_and_posteriors(w)
         np.testing.assert_allclose(post.sum(axis=0), 1.0, atol=1e-12)
 
 
 def test_stop_augmented_joint_adds_stop_terms(two_binary_schema):
     s = two_binary_schema
-    x1t, x2t = NodeKey(0, 0), NodeKey(1, 0)
+    x1t, x2t = (0, 0), (1, 0)
     stop = 0.25
     model = model_from_weights(
         s,
-        {(ROOT, x1t): 0.2, (ROOT, x2t): 0.3, (x1t, x2t): 0.4, (x2t, x1t): 0.5},
+        {(None, x1t): 0.2, (None, x2t): 0.3, (x1t, x2t): 0.4, (x2t, x1t): 0.5},
         variant=Variant.STOP_AUGMENTED,
-        stop={key: stop for key in (ROOT, x1t, x2t, NodeKey(0, 1), NodeKey(1, 1))},
+        stop={key: stop for key in (None, x1t, x2t, (0, 1), (1, 1))},
     )
     lj = brute_unnormalized_joint(model, np.array([0, 0]))
     assert lj == pytest.approx(math.log(WORKED_Z) + 3 * math.log(stop), rel=1e-12)

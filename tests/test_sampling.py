@@ -12,9 +12,7 @@ from ldfm.matrix_tree import (
 )
 from ldfm.model import (
     MISSING,
-    ROOT,
     LdfmModel,
-    NodeKey,
     Variant,
     VariableSchema,
     make_uniform_model,
@@ -108,10 +106,10 @@ def test_gibbs_sweep_is_identity_when_all_pinned(two_binary_schema):
 
 def test_gibbs_raises_when_every_value_is_impossible(two_binary_schema):
     s = two_binary_schema
-    x1t, x2t = NodeKey(0, 0), NodeKey(1, 0)
+    x1t, x2t = (0, 0), (1, 0)
     # X1 reachable only as T; with evidence X2=F nothing can generate X2
     model = model_from_weights(
-        s, {(ROOT, x1t): 0.5, (ROOT, x2t): 0.5, (x1t, x2t): 1.0, (x2t, x1t): 1.0}
+        s, {(None, x1t): 0.5, (None, x2t): 0.5, (x1t, x2t): 1.0, (x2t, x1t): 1.0}
     )
     values = np.array([[1, 1]])
     with pytest.raises(SingularLaplacianError):
@@ -226,9 +224,9 @@ def test_batched_tree_step_matches_per_chain_reference(variant):
 
 def _one_value_impossible_model(schema):
     # X2=F gets no weight from any source, so an X2=F chain is impossible
-    x1t, x2t = NodeKey(0, 0), NodeKey(1, 0)
+    x1t, x2t = (0, 0), (1, 0)
     return model_from_weights(
-        schema, {(ROOT, x1t): 0.5, (ROOT, x2t): 0.5, (x1t, x2t): 1.0, (x2t, x1t): 1.0}
+        schema, {(None, x1t): 0.5, (None, x2t): 0.5, (x1t, x2t): 1.0, (x2t, x1t): 1.0}
     )
 
 
@@ -255,10 +253,10 @@ def test_gibbs_error_in_a_batch_with_one_impossible_chain(two_binary_schema):
 
 
 def test_gibbs_zero_uniform_never_draws_an_impossible_value(two_binary_schema):
-    x1t, x2f = NodeKey(0, 0), NodeKey(1, 1)
+    x1t, x2f = (0, 0), (1, 1)
     # X2=T (value 0) gets no weight, so X2's conditional CDF starts at 0.0
     model = model_from_weights(
-        two_binary_schema, {(ROOT, x1t): 0.5, (ROOT, x2f): 0.5, (x1t, x2f): 1.0, (x2f, x1t): 1.0}
+        two_binary_schema, {(None, x1t): 0.5, (None, x2f): 0.5, (x1t, x2f): 1.0, (x2f, x1t): 1.0}
     )
 
     class ZeroStream:
