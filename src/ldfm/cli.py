@@ -9,6 +9,7 @@ verbosity on standard error.
 from __future__ import annotations
 
 import argparse
+import errno
 import logging
 import os
 import sys
@@ -164,9 +165,22 @@ def _parse_bindings(schema, text: str) -> np.ndarray:
     return out
 
 
+def _check_out(path: str) -> None:
+    """Raise the OSError that opening ``path`` for writing would raise if
+    it is a directory or its directory is missing, without touching it, so
+    that a command fails before its work rather than after."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    try:
+        os.stat(os.path.join(os.path.dirname(path), "."))
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+
+
 def _cmd_train(args) -> int:
     if args.workers is not None and args.workers < 1:  # None: os.cpu_count() unknown
         raise ValueError(f"--workers must be at least 1, got {args.workers}")
+    _check_out(args.out)
     schema = load_schema(args.schema) if args.schema else None
     dataset = load_dataset(args.data, schema=schema)
     if schema is None:
@@ -200,6 +214,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if args.out:
+        _check_out(args.out)
     model = load_model(args.model)
     dataset = load_dataset(args.data, schema=model.schema)
     instances = evaluation.make_query_instances(
@@ -233,6 +249,7 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    _check_out(args.out)
     model = load_model(args.model)
     schema = model.schema
     config = _sampler_config(args)

@@ -61,52 +61,60 @@ def load_dataset(path, schema: VariableSchema | None = None) -> Dataset:
 
     Inferred domains list labels in order of first appearance.  A supplied
     schema wins: headers must match its variable order and every label must
-    belong to the declared domain.
+    belong to the declared domain.  Labels are mapped one column at a time
+    through the schema's label-to-index dicts.  The first line with the
+    wrong number of fields is reported before any label; an unknown label
+    is reported at the first line that holds one, in that line's first bad
+    column.
     """
     table = _read_table(path)
-    header = table[0]
+    header, body = table[0], table[1:]
     if schema is not None:
         if list(schema.names) != header:
             raise DatasetFormatError(
                 f"{path}: header {header} does not match schema variables {list(schema.names)}"
             )
     n = len(header)
-    for lineno, row in enumerate(table[1:], start=2):
-        if len(row) != n:
-            raise DatasetFormatError(
-                f"{path}:{lineno}: expected {n} fields, found {len(row)}"
-            )
+    if set(map(len, body)) - {n}:
+        lineno, row = next((i, row) for i, row in enumerate(body, start=2) if len(row) != n)
+        raise DatasetFormatError(f"{path}:{lineno}: expected {n} fields, found {len(row)}")
+    columns = list(zip(*body)) or [()] * n
     if schema is None:
-        domains: list[dict[str, int]] = [{} for _ in range(n)]
-        for row in table[1:]:
-            for i, label in enumerate(row):
-                domains[i].setdefault(label, len(domains[i]))
-        if any(not d for d in domains):
+        if not body:
             raise DatasetFormatError(f"{path}: dataset has a header but no rows")
         try:
             schema = VariableSchema(
-                tuple((name, tuple(d.keys())) for name, d in zip(header, domains))
+                tuple((name, tuple(dict.fromkeys(col))) for name, col in zip(header, columns))
             )
         except ValueError as exc:
             raise DatasetFormatError(f"{path}: {exc}") from None
-    rows = np.empty((len(table) - 1, n), dtype=np.int64)
-    for r, row in enumerate(table[1:]):
-        for i, label in enumerate(row):
-            try:
-                rows[r, i] = schema.value_index(i, label)
-            except KeyError:
-                raise DatasetFormatError(
-                    f"{path}:{r + 2}: unknown value {label!r} for variable {header[i]!r}"
-                ) from None
+    rows = np.empty((len(body), n), dtype=np.int64)
+    bad = []  # (first bad row, column) of every column holding an unknown label
+    for i, (col, index) in enumerate(zip(columns, schema.label_index)):
+        try:
+            rows[:, i] = np.fromiter(map(index.__getitem__, col), np.int64, len(col))
+        except KeyError:
+            bad.append((next(r for r, label in enumerate(col) if label not in index), i))
+    if bad:
+        r, i = min(bad)
+        raise DatasetFormatError(
+            f"{path}:{r + 2}: unknown value {columns[i][r]!r} for variable {header[i]!r}"
+        )
     return Dataset(schema, rows)
 
 
 def save_dataset(dataset: Dataset, path) -> None:
+    """Write ``dataset`` as a header line and one line of labels per row,
+    mapping each column's value indices through its variable's label
+    tuple."""
     schema = dataset.schema
+    columns = [
+        map(labels.__getitem__, dataset.rows[:, i].tolist())
+        for i, (_, labels) in enumerate(schema.variables)
+    ]
+    lines = [",".join(schema.names), *map(",".join, zip(*columns))]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(schema.names) + "\n")
-        for row in dataset.rows:
-            fh.write(",".join(schema.variables[i][1][v] for i, v in enumerate(row)) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 # -- schema sidecar ---------------------------------------------------------

@@ -4,10 +4,12 @@ The structure of each sample is latent, so the E-step computes per-sample
 edge posteriors (already normalized by the per-sample tree-weight total)
 and accumulates them per <source key, target key> cell.  Posteriors depend
 on a sample only through its assignment, so the E-step visits each
-distinct row once and weights it by its count.  The M-step is the
-closed-form ratio of those counts, optionally smoothed.  The objective is
-the sum of per-sample log joint weights, which is the model log-likelihood
-up to an assignment-independent constant.
+distinct row once and weights it by its count.  The training data stay
+fixed during a fit, so :func:`train_em` checks and counts them once and
+hands the same distinct rows to every E-step and to its final score.  The
+M-step is the closed-form ratio of those counts, optionally smoothed.  The
+objective is the sum of per-sample log joint weights, which is the model
+log-likelihood up to an assignment-independent constant.
 """
 
 from __future__ import annotations
@@ -111,18 +113,31 @@ def _as_sample_matrix(data, schema: VariableSchema) -> np.ndarray:
     return xs
 
 
-def _distinct_rows(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct rows of ``xs`` in order of first appearance.
+class _DistinctRows(NamedTuple):
+    """Checked samples counted once: the distinct rows in order of first
+    appearance, how often each occurs, and the sample index where each
+    first occurs."""
 
-    Returns ``(rows, counts, first)``: the distinct rows, how often each
-    occurs, and the index in ``xs`` where each first occurs.
-    """
+    rows: np.ndarray
+    counts: np.ndarray
+    first: np.ndarray
+
+
+def _distinct_rows(xs: np.ndarray) -> _DistinctRows:
+    """Distinct rows of ``xs`` in order of first appearance."""
     xs = np.ascontiguousarray(xs)
     keys = xs.view(np.dtype((np.void, xs.dtype.itemsize * xs.shape[1]))).ravel()
     _, first, counts = np.unique(keys, return_index=True, return_counts=True)
     order = np.argsort(first)
     first = first[order]
-    return xs[first], counts[order], first
+    return _DistinctRows(xs[first], counts[order], first)
+
+
+def _counted(data, schema: VariableSchema) -> _DistinctRows:
+    """``data`` checked and counted, unless it already is."""
+    if isinstance(data, _DistinctRows):
+        return data
+    return _distinct_rows(_as_sample_matrix(data, schema))
 
 
 def _chunk_stats(model: LdfmModel, xs: np.ndarray, counts: np.ndarray) -> SufficientStats:
@@ -143,7 +158,7 @@ def _chunk_stats(model: LdfmModel, xs: np.ndarray, counts: np.ndarray) -> Suffic
     return SufficientStats(edge.reshape(1 + k, k), occur, int(counts.sum()), ll)
 
 
-def _map_chunks(fn: Callable, distinct: tuple, workers: int | None) -> list:
+def _map_chunks(fn: Callable, distinct: _DistinctRows, workers: int | None) -> list:
     """``fn(rows, counts)`` over fixed-size chunks of distinct rows.
 
     Chunk boundaries do not depend on ``workers``, so reducing the results
@@ -171,9 +186,9 @@ def _map_chunks(fn: Callable, distinct: tuple, workers: int | None) -> list:
 def e_step(model: LdfmModel, data, workers: int | None = None) -> SufficientStats:
     """Edge-posterior statistics and log-likelihood over complete samples,
     one pass per distinct sample weighted by its count; identical for any
-    worker count."""
-    xs = _as_sample_matrix(data, model.schema)
-    parts = _map_chunks(partial(_chunk_stats, model), _distinct_rows(xs), workers)
+    worker count.  ``data`` may also be the samples already counted by
+    :func:`train_em`."""
+    parts = _map_chunks(partial(_chunk_stats, model), _counted(data, model.schema), workers)
     return sum(parts[1:], parts[0])
 
 
@@ -183,9 +198,9 @@ def _chunk_loglik(model: LdfmModel, xs: np.ndarray, counts: np.ndarray) -> float
 
 
 def data_log_likelihood(model: LdfmModel, data) -> float:
-    """Sum over samples of the log unnormalized joint weight."""
-    xs = _as_sample_matrix(data, model.schema)
-    return sum(_map_chunks(partial(_chunk_loglik, model), _distinct_rows(xs), None))
+    """Sum over samples of the log unnormalized joint weight; ``data`` may
+    also be already counted, as for :func:`e_step`."""
+    return sum(_map_chunks(partial(_chunk_loglik, model), _counted(data, model.schema), None))
 
 
 def m_step(stats: SufficientStats, config: TrainConfig, schema: VariableSchema) -> LdfmModel:
@@ -247,11 +262,13 @@ def train_em(
 
     The trace holds one entry per evaluated model (initial model included),
     recording the data log-likelihood and the log-prior term separately;
-    with no smoothing the log-likelihood itself is monotone.
+    with no smoothing the log-likelihood itself is monotone.  The samples
+    are checked and counted once, before the first E-step.  EM stops when
+    the objective gains less than ``rel_tol`` relative to its last value,
+    and warns when it fell.
     """
-    xs = _as_sample_matrix(data, schema)
-    if logger.isEnabledFor(logging.DEBUG):  # counting the rows costs one more pass
-        logger.debug("e-step over %d distinct rows of %d", len(_distinct_rows(xs)[0]), xs.shape[0])
+    distinct = _counted(data, schema)
+    logger.debug("e-step over %d distinct rows of %d", len(distinct.rows), int(distinct.counts.sum()))
     model = make_uniform_model(schema, config.variant)
     trace: list[TraceEntry] = []
 
@@ -264,14 +281,20 @@ def train_em(
         return entry
 
     for _ in range(config.max_iters):
-        stats = e_step(model, xs, workers=workers)
+        stats = e_step(model, distinct, workers=workers)
         entry = record(stats.loglik)
         if len(trace) >= 2:
             prev = trace[-2].objective
             gain = entry.objective - prev
             if gain < config.rel_tol * max(abs(prev), 1e-12):
+                if gain < 0:
+                    logger.warning(
+                        "EM objective fell by %.6g at iteration %d; stopping",
+                        -gain,
+                        len(trace) - 1,
+                    )
                 break
         model = m_step(stats, config, schema)
     else:
-        record(data_log_likelihood(model, xs))
+        record(data_log_likelihood(model, distinct))
     return model, trace

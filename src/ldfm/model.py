@@ -112,7 +112,8 @@ class VariableSchema:
         return {name: i for i, name in enumerate(self.names)}
 
     @cached_property
-    def _value_index(self) -> tuple[dict[str, int], ...]:
+    def label_index(self) -> tuple[dict[str, int], ...]:
+        """Per variable, the dict from value label to value index."""
         return tuple({v: k for k, v in enumerate(dom)} for _, dom in self.variables)
 
     @cached_property
@@ -146,7 +147,7 @@ class VariableSchema:
 
     def value_index(self, var: int, label: str) -> int:
         try:
-            return self._value_index[var][label]
+            return self.label_index[var][label]
         except KeyError:
             raise KeyError(f"unknown value {label!r} for variable {self.names[var]!r}") from None
 

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from ldfm import evaluation, learning, sampling
 from ldfm.cli import dispatch
 from ldfm.dataio import _payload_checksum, load_dataset, load_model, save_model
 from ldfm.model import LdfmModel, Variant, VariableSchema, make_uniform_model
@@ -325,6 +326,17 @@ def test_missing_file_exits_two(tmp_path, capsys):
     assert "error" in err
 
 
+def forbid_work(monkeypatch):
+    """Make training, evaluation and sampling fail the test if they start."""
+
+    def ran(*args, **kwargs):
+        raise AssertionError("the command started its work")
+
+    monkeypatch.setattr(learning, "train_em", ran)
+    monkeypatch.setattr(evaluation, "evaluate", ran)
+    monkeypatch.setattr(sampling, "run_chains", ran)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -337,17 +349,73 @@ def test_missing_file_exits_two(tmp_path, capsys):
         ),
         ("query", "--model", "{dir}", "--query", "V1=a", "--seed", "1"),
         ("gen-data", "--n", "8", "--samples", "5", "--out", "{dir}", "--seed", "1"),
+        ("sample", "--model", "{model}", "--out", "{dir}", "--samples", "5", "--seed", "1"),
     ],
-    ids=["train-out", "train-schema", "eval-data", "eval-out", "query-model", "gen-data-out"],
+    ids=[
+        "train-out", "train-schema", "eval-data", "eval-out", "query-model", "gen-data-out",
+        "sample-out",
+    ],
 )
-def test_directory_as_a_path_argument_exits_two(tmp_path, capsys, argv):
+def test_directory_as_a_path_argument_exits_two(tmp_path, capsys, monkeypatch, argv):
     data, model_path = tmp_path / "d.csv", tmp_path / "m.model"
     run(capsys, "gen-data", "--n", "8", "--samples", "40", "--seed", "3", "--out", str(data))
     run(capsys, "train", "--data", str(data), "--out", str(model_path), "--iters", "1")
+    forbid_work(monkeypatch)
     paths = {"data": data, "model": model_path, "dir": tmp_path, "out": tmp_path / "o.model"}
-    code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
     assert code == 2
     assert "error: [Errno" in err and str(tmp_path) in err
+    # the path is checked before the work: no EM iteration, no eval report
+    assert "iter=" not in err and "trained" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("train", "--data", "{data}", "--out", "{out}", "--iters", "1"),
+        ("eval", "--model", "{model}", "--data", "{data}", "--out", "{out}", "--seed", "1"),
+        ("sample", "--model", "{model}", "--out", "{out}", "--seed", "1"),
+    ],
+    ids=["train", "eval", "sample"],
+)
+def test_out_in_a_missing_directory_exits_two_before_the_work(tmp_path, capsys, monkeypatch, argv):
+    data, model_path = tmp_path / "d.csv", tmp_path / "m.model"
+    run(capsys, "gen-data", "--n", "8", "--samples", "40", "--seed", "3", "--out", str(data))
+    run(capsys, "train", "--data", str(data), "--out", str(model_path), "--iters", "1")
+    forbid_work(monkeypatch)
+    out_path = tmp_path / "missing" / "o"
+    paths = {"data": data, "model": model_path, "out": out_path}
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 2
+    assert err == f"error: [Errno 2] No such file or directory: '{out_path}'\n"
+    assert out == ""
+
+
+def test_failed_train_leaves_an_existing_out_file_untouched(tmp_path, capsys):
+    data, out_path = tmp_path / "d.csv", tmp_path / "m.model"
+    data.write_text("A,B\nx,y\nx\n", encoding="utf-8")
+    out_path.write_text("keep\n", encoding="utf-8")
+    code, _, err = run(capsys, "train", "--data", str(data), "--out", str(out_path))
+    assert code == 2 and "expected 2 fields" in err
+    assert out_path.read_text(encoding="utf-8") == "keep\n"
+
+
+# sha256 of `gen-data --samples 500 --seed 31` at each fixture size
+GEN_DATA_SHA256 = {
+    8: "750a2abf3c4149b4c753ad6bc9237c60dd56df222b630538b16272ecb0281085",
+    11: "bf3d3668c0142eef8dc76d77b13f8f0f4f1c765b9a8ead353c12fc3b7069b5ec",
+    20: "0c2d9aeb7349d75c30401d6d704950a5724ec7e0e9c0559ec32b23220c84a49c",
+}
+
+
+@pytest.mark.parametrize("n", sorted(GEN_DATA_SHA256))
+def test_gen_data_bytes_are_pinned(tmp_path, capsys, n):
+    data = tmp_path / "d.csv"
+    code, _, _ = run(capsys, "gen-data", "--n", str(n), "--samples", "500", "--seed", "31",
+                     "--out", str(data))
+    assert code == 0
+    assert hashlib.sha256(data.read_bytes()).hexdigest() == GEN_DATA_SHA256[n]
 
 
 def test_bad_query_binding_exits_two(tmp_path, capsys):

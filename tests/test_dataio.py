@@ -91,6 +91,45 @@ def test_dataset_round_trip(tmp_path):
     assert (tmp_path / "d.csv").read_text() == (tmp_path / "d2.csv").read_text()
 
 
+def test_unknown_labels_name_the_earliest_row_and_its_first_bad_column(tmp_path):
+    schema = VariableSchema((("A", ("x", "y")), ("B", ("p", "q")), ("C", ("u",))))
+    dp = tmp_path / "d.csv"
+    # column B's first unknown label is on a later line than column C's
+    write(dp, "A,B,C\nx,p,u\nx,q,BAD1\ny,BAD2,BAD3\n")
+    with pytest.raises(DatasetFormatError) as info:
+        load_dataset(dp, schema=schema)
+    assert str(info.value) == f"{dp}:3: unknown value 'BAD1' for variable 'C'"
+    # two unknown labels on the earliest bad line: the first column is named
+    write(dp, "A,B,C\nx,p,u\ny,BAD2,BAD3\nBAD4,p,u\n")
+    with pytest.raises(DatasetFormatError) as info:
+        load_dataset(dp, schema=schema)
+    assert str(info.value) == f"{dp}:3: unknown value 'BAD2' for variable 'B'"
+    # a wrong field count is reported before any label, even a later one
+    write(dp, "A,B,C\nx,BAD,u\nx,p\n")
+    with pytest.raises(DatasetFormatError) as info:
+        load_dataset(dp, schema=schema)
+    assert str(info.value) == f"{dp}:3: expected 3 fields, found 2"
+
+
+@pytest.mark.parametrize("n", [8, 11, 20])
+def test_fixture_dataset_round_trip_keeps_rows_and_domain_order(tmp_path, n):
+    ds = forward_sample(fixture_net(n), 300, n)
+    p = tmp_path / "d.csv"
+    save_dataset(ds, p)
+    np.testing.assert_array_equal(load_dataset(p, schema=ds.schema).rows, ds.rows)
+
+    inferred = load_dataset(p)
+    assert inferred.schema.names == ds.schema.names
+    for i, (_, labels) in enumerate(ds.schema.variables):
+        _, first = np.unique(ds.rows[:, i], return_index=True)
+        seen = ds.rows[np.sort(first), i]
+        assert inferred.schema.variables[i][1] == tuple(labels[v] for v in seen)
+        back = [inferred.schema.variables[i][1][v] for v in inferred.rows[:, i]]
+        assert back == [labels[v] for v in ds.rows[:, i]]
+    save_dataset(inferred, tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_bytes() == p.read_bytes()
+
+
 def test_schema_sidecar_round_trip(tmp_path):
     schema = VariableSchema((("A", ("T", "F")), ("B", ("x", "y", "z"))))
     p = tmp_path / "s.json"

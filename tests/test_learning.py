@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldfm import learning
+from ldfm.dataio import fixture_net, forward_sample
 from ldfm.learning import (
     CHUNK,
     Smoothing,
@@ -514,15 +515,47 @@ def test_train_em_deduplicates_once_per_evaluated_model(monkeypatch, caplog):
     with caplog.at_level(logging.INFO, logger="ldfm.learning"):
         _, trace = train_em(xs, schema, config)
     assert len(trace) == 4
-    assert len(calls) == len(trace)  # one per e_step or final data_log_likelihood
+    assert calls == [60]  # one count serves every e_step and the final data_log_likelihood
     assert "distinct rows" not in caplog.text
     calls.clear()
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="ldfm.learning"):
         train_em(xs, schema, config)
-    assert len(calls) == len(trace) + 1
+    assert calls == [60]
     lines = [r.getMessage() for r in caplog.records if "distinct rows" in r.getMessage()]
     assert lines == [f"e-step over {len(np.unique(xs, axis=0))} distinct rows of 60"]
+
+
+def test_counted_rows_give_the_same_results_as_raw_samples(worked_model):
+    xs = np.array([[0, 0], [1, 0], [0, 0], [1, 1], [0, 0]])
+    counted = _distinct_rows(xs)
+    for workers in (None, 2):
+        raw, once = e_step(worked_model, xs, workers), e_step(worked_model, counted, workers)
+        np.testing.assert_array_equal(raw.edge, once.edge)
+        np.testing.assert_array_equal(raw.occur, once.occur)
+        assert (raw.sample_count, raw.loglik) == (once.sample_count, once.loglik)
+    assert data_log_likelihood(worked_model, xs) == data_log_likelihood(worked_model, counted)
+
+
+def test_train_em_warns_when_the_objective_falls(caplog):
+    # under sparsity smoothing the log-prior can fall while the
+    # log-likelihood rises: here by about 1,100 at the fifth iteration
+    data = forward_sample(fixture_net(11), 40, 3)
+    config = TrainConfig(max_iters=15, smoothing=Smoothing.SPARSITY, kappa=2.0)
+    with caplog.at_level(logging.INFO, logger="ldfm.learning"):
+        _, trace = train_em(data.rows, data.schema, config)
+    fall = trace[-2].objective - trace[-1].objective
+    assert fall > 1.0
+    assert len(trace) - 1 < config.max_iters
+    warned = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert warned == [f"EM objective fell by {fall:.6g} at iteration {len(trace) - 1}; stopping"]
+    info = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+    assert len(info) == len(trace) and all(m.startswith("iter=") for m in info)
+
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="ldfm.learning"):
+        train_em(data.rows, data.schema, TrainConfig(max_iters=3, rel_tol=-1.0))
+    assert not [r for r in caplog.records if r.levelno == logging.WARNING]
 
 
 def test_m_step_requires_samples(two_binary_schema):
