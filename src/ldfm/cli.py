@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import logging
 import os
 import sys
@@ -74,7 +75,10 @@ def _configure_logging() -> None:
     root.setLevel(level)
 
 
-def _build_parser() -> _Parser:
+@functools.lru_cache(maxsize=None)
+def _parser() -> _Parser:
+    """The command-line parser, built on first use and reused by every
+    ``dispatch`` in the process (parsing leaves it unchanged)."""
     parser = _Parser(prog="ldfm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -305,9 +309,8 @@ _COMMANDS = {
 
 def dispatch(argv: list[str]) -> int:
     _configure_logging()
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -16,7 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LdfmModel, Variant, VariableSchema, validate_model, weight_violations
+from .model import (
+    MIN_LOAD_WEIGHT,
+    LdfmModel,
+    Variant,
+    VariableSchema,
+    validate_model,
+    weight_violations,
+)
 from .rng import make_rng
 
 FORMAT_VERSION = 1
@@ -260,11 +267,35 @@ def _model_from_payload(payload: dict, path) -> LdfmModel:
     return LdfmModel(schema, variant, dep, stop)
 
 
+def _tiny_weights(model: LdfmModel) -> list[str]:
+    """The first positive dep weight and the first positive stop weight
+    below MIN_LOAD_WEIGHT, each named by its cell."""
+    schema = model.schema
+    found = []
+    tiny = np.argwhere((model.dep > 0.0) & (model.dep < MIN_LOAD_WEIGHT))
+    if tiny.size:
+        row, col = tiny[0]
+        found.append(
+            f"{schema.describe_row(row)} -> {schema.describe_row(1 + col)}: dep weight "
+            f"{model.dep[row, col]:.6g} is below the smallest loadable weight {MIN_LOAD_WEIGHT:g}"
+        )
+    if model.stop is not None:
+        tiny = np.nonzero((model.stop > 0.0) & (model.stop < MIN_LOAD_WEIGHT))[0]
+        if tiny.size:
+            row = tiny[0]
+            found.append(
+                f"{schema.describe_row(row)}: stop weight {model.stop[row]:.6g} "
+                f"is below the smallest loadable weight {MIN_LOAD_WEIGHT:g}"
+            )
+    return found
+
+
 def load_model(path) -> LdfmModel:
     """Rebuild a model from a file produced by :func:`save_model`.
 
-    Rejects version mismatches, truncation, and checksum failures outright;
-    a normalization deviation beyond 1e-6 only warns, since slightly stale
+    Rejects version mismatches, truncation, checksum failures, defective
+    weights and positive weights below MIN_LOAD_WEIGHT outright; a
+    normalization deviation beyond 1e-6 only warns, since slightly stale
     weights are still usable.
     """
     try:
@@ -288,7 +319,7 @@ def load_model(path) -> LdfmModel:
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         detail = f"{type(exc).__name__}: {exc}"
         raise ModelFormatError(f"{path}: malformed payload ({detail})") from None
-    defects = weight_violations(model)
+    defects = weight_violations(model) or _tiny_weights(model)
     if defects:
         raise ModelFormatError(f"{path}: {'; '.join(defects)}")
     deviations = validate_model(model, LOAD_NORMALIZATION_WARN)

@@ -38,6 +38,12 @@ MISSING = -1
 # Floor applied to fitted weights so later Laplacians stay nonsingular.
 WEIGHT_FLOOR = 1e-12
 
+# Smallest positive weight a model file may hold.  EM floors weights and
+# then renormalises, which can leave them just under WEIGHT_FLOOR; much
+# smaller weights take the determinant core outside the range in which it
+# is checked to match enumeration.
+MIN_LOAD_WEIGHT = WEIGHT_FLOOR / 2
+
 
 class Variant(enum.Enum):
     """Normalization convention obeyed by the weight table."""

@@ -1,9 +1,9 @@
 """Brute-force ground truth for small instances.
 
-Everything here enumerates: spanning trees by scanning all parent vectors,
-joint weights by summing over trees, normalizers and conditionals by
-summing over complete assignments.  Intended as a test fixture, not a
-production path; hard caps keep the blowup honest.
+Everything here enumerates: spanning trees by filtering all parent
+vectors, joint weights by summing over trees, normalizers and
+conditionals by summing over complete assignments.  Intended as a test
+fixture, not a production path; hard caps keep the blowup honest.
 """
 
 from __future__ import annotations
@@ -58,22 +58,41 @@ def enumerate_rooted_trees(n: int) -> Iterator[tuple[int, ...]]:
     """Yield every parent vector encoding a spanning tree rooted at node 0.
 
     parent[j-1] is the parent of node j, so a tree's edges are the cells
-    ``weights[parent[j-1], j-1]`` of an (n+1, n) edge table.  Scans all n^n
-    candidate vectors with a path-following acyclicity check; the valid
-    count for the complete graph is (n+1)^(n-1).
+    ``weights[parent[j-1], j-1]`` of an (n+1, n) edge table.  The order is
+    that of ``itertools.product`` over each node's candidate parents (every
+    node but itself); the count for the complete graph is (n+1)^(n-1).
     """
-    if not 1 <= n <= MAX_TREE_N:
-        raise ValueError(f"n must be in [1, {MAX_TREE_N}], got {n}")
-    choices = [[p for p in range(n + 1) if p != j] for j in range(1, n + 1)]
-    # a leading placeholder gives is_rooted_tree's parents[j] indexing
-    for cand in itertools.product([-1], *choices):
-        if is_rooted_tree(cand):
-            yield cand[1:]
+    return map(tuple, _tree_table(n).tolist())
 
 
 @lru_cache(maxsize=None)
 def _tree_table(n: int) -> np.ndarray:
-    table = np.array(list(enumerate_rooted_trees(n)), dtype=np.int64)
+    """The (n+1)^(n-1) rooted trees as an (T, n) parent table, rows in
+    :func:`enumerate_rooted_trees` order.
+
+    The n^n candidate vectors are decoded in blocks, as base-n numbers
+    whose digit for node j (node 1 most significant) indexes its candidate
+    parents, and a candidate is kept when pointer jumping takes every node
+    to the root: after k rounds ``up`` holds each node's 2^k-th ancestor,
+    and a node on or above a cycle never reaches 0.
+    """
+    if not 1 <= n <= MAX_TREE_N:
+        raise ValueError(f"n must be in [1, {MAX_TREE_N}], got {n}")
+    table = np.empty(((n + 1) ** (n - 1), n), dtype=np.int64)
+    nodes = np.arange(1, n + 1)
+    place = n ** np.arange(n - 1, -1, -1)
+    kept, block = 0, 1 << 16
+    for start in range(0, n**n, block):
+        digits = np.arange(start, min(start + block, n**n))[:, None] // place % n
+        cand = digits + (digits >= nodes)  # skip each node's own index
+        up = np.concatenate([np.zeros((len(cand), 1), dtype=np.int64), cand], axis=1)
+        span = 1
+        while span < n:
+            up = np.take_along_axis(up, up, axis=1)
+            span *= 2
+        trees = cand[~up.any(axis=1)]
+        table[kept : kept + len(trees)] = trees
+        kept += len(trees)
     table.setflags(write=False)
     return table
 

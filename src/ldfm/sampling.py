@@ -114,11 +114,10 @@ def _row_cdfs(logw: np.ndarray, error: Callable[[int], str]) -> np.ndarray:
     all zero.
     """
     m = logw.max(axis=1, keepdims=True)
-    with np.errstate(invalid="ignore"):
-        total = np.log(np.exp(logw - m).sum(axis=1, keepdims=True)) + m
-    bad = ~np.isfinite(total[:, 0])
+    bad = ~(m[:, 0] > -np.inf)  # all -inf, or NaN
     if bad.any():
         raise SingularLaplacianError(error(int(np.argmax(bad))))
+    total = np.log(np.exp(logw - m).sum(axis=1, keepdims=True)) + m
     p = np.exp(logw - total)
     p /= p.sum(axis=1, keepdims=True)
     cdf = p.cumsum(axis=1)
@@ -247,6 +246,32 @@ def gibbs_sweep(
         values[free, var] = list(map(bisect_right, cdfs, uniforms[free, var].tolist()))
 
 
+def _subtree_mask(parents: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """(C, n+1) mask of the nodes in the subtree of ``nodes[c]`` (itself
+    included) in each chain's rooted parent vector ``parents[c]`` (entry 0
+    unused).
+
+    Pointer jumping over one flat parent index (Wyllie 1979): after k
+    rounds ``up`` holds each node's 2^k-th ancestor and a node is marked if
+    any of its first 2^k ancestors (itself first) is the picked node.  A
+    node lies at most n - 1 steps below any of its ancestors, so
+    ceil(log2 n) rounds find the whole subtree.
+    """
+    chains, width = parents.shape
+    base = np.arange(chains) * width
+    up = parents + base[:, None]
+    up[:, 0] = base  # a root is its own parent
+    up = up.ravel()
+    blocked = np.zeros(up.size, dtype=bool)
+    blocked[nodes + base] = True
+    span = 1
+    while span < width - 1:
+        blocked |= blocked[up]
+        up = up[up]
+        span *= 2
+    return blocked.reshape(chains, width)
+
+
 def tree_augmented_step(
     model: LdfmModel, values: np.ndarray, pinned: np.ndarray, parents: np.ndarray, rngs: list
 ) -> None:
@@ -265,20 +290,8 @@ def tree_augmented_step(
     nodes = np.array([rng.integers(1, n + 1) for rng in rngs])
     var = nodes - 1
 
-    # subtree of each picked node: every node whose ancestor path meets it,
-    # found by chasing a flat parent index at most n times
+    blocked = _subtree_mask(parents, nodes)
     width = n + 1
-    base = chains[:, None] * width
-    up = parents + base
-    up[:, 0] = base[:, 0]  # a root is its own parent
-    up = up.ravel()
-    anc = np.arange(up.size)
-    target = (nodes + base[:, 0]).repeat(width)
-    blocked = anc == target
-    for _ in range(n - 1):
-        anc = up[anc]
-        blocked |= anc == target
-    blocked = blocked.reshape(-1, width)
 
     card = schema.cards[var][:, None]
     grid = np.arange(int(schema.cards.max()))[None, :]
@@ -286,9 +299,12 @@ def tree_augmented_step(
     allowed = np.where(pinned[chains, var][:, None], grid == own, grid < card)
     val_cols = schema.offsets[var][:, None] + np.minimum(grid, card - 1)
     val_rows = 1 + val_cols
-    rows_all = schema.assignment_rows(values)
+    # each chain's key columns; its source rows are the root's 0 and 1 + these
+    cols = schema.offsets + values
+    rows_all = np.zeros((len(rngs), width), dtype=np.int64)
+    rows_all[:, 1:] = 1 + cols
     is_child = parents[:, None, 1:] == nodes[:, None, None]
-    child_cols = (schema.offsets + values)[:, None, :]
+    child_cols = cols[:, None, :]
     # (value, parent) grid of log incoming weight, plus value-only terms
     log_in = model.log_dep[rows_all[:, None, :], val_cols[:, :, None]]
     child_logw = model.log_dep[val_rows[:, :, None], child_cols]

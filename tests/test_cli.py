@@ -1,5 +1,7 @@
 import hashlib
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -32,6 +34,32 @@ def test_missing_required_seed_exits_one(capsys):
     code, _, err = run(capsys, "check", "--n", "3")
     assert code == 1
     assert "--seed" in err
+
+
+def test_usage_error_after_a_successful_call_exits_one(capsys):
+    assert run(capsys, "check", "--n", "2", "--trials", "2", "--seed", "1")[0] == 0
+    code, out, err = run(capsys, "check", "--n", "3")
+    assert code == 1
+    assert out == ""
+    assert "--seed" in err
+
+
+def test_repeated_dispatch_prints_what_fresh_processes_print(capsys, monkeypatch):
+    # the parser is built once per process; reusing it must not change a
+    # later command's output, including after a usage error
+    argvs = [
+        ("check", "--n", "3", "--trials", "5", "--seed", "4"),
+        ("check", "--n", "3", "--bogus"),
+        ("check", "--n", "4", "--trials", "2", "--seed", "2"),
+    ]
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal
+    in_process = [run(capsys, *argv) for argv in argvs]
+    fresh = [
+        subprocess.run([sys.executable, "-m", "ldfm", *argv], capture_output=True, text=True)
+        for argv in argvs
+    ]
+    assert in_process == [(proc.returncode, proc.stdout, proc.stderr) for proc in fresh]
+    assert [code for code, _, _ in in_process] == [0, 1, 0]
 
 
 def test_check_passes_and_reports_errors(capsys):

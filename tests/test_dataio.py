@@ -19,7 +19,8 @@ from ldfm.dataio import (
     save_schema,
     _payload_checksum,
 )
-from ldfm.model import Variant, VariableSchema, make_uniform_model
+from ldfm.learning import Smoothing, TrainConfig, train_em
+from ldfm.model import MIN_LOAD_WEIGHT, WEIGHT_FLOOR, Variant, VariableSchema, make_uniform_model
 
 from conftest import model_from_weights, random_model
 
@@ -335,6 +336,36 @@ def test_model_same_variable_weight_rejected(tmp_path):
     p = saved_uniform(tmp_path)
     rewrite_payload(p, lambda pl: pl["weights"]["A"]["T"].update(A={"F": 0.1}))
     with pytest.raises(ModelFormatError, match="same-variable"):
+        load_model(p)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_sparsity_trained_model_under_the_floor_saves_and_loads(tmp_path, variant):
+    # EM floors weights and then renormalises, leaving them a hair under
+    # WEIGHT_FLOOR; the load bound must leave room for that
+    data = forward_sample(fixture_net(8), 500, 3)
+    config = TrainConfig(smoothing=Smoothing.SPARSITY, kappa=2.0, max_iters=5, variant=variant)
+    model, _ = train_em(data.rows, data.schema, config)
+    positive = model.dep[model.dep > 0.0]
+    assert (positive < WEIGHT_FLOOR).sum() > 10
+    assert positive.min() >= MIN_LOAD_WEIGHT
+    p = tmp_path / "m.model"
+    save_model(model, p)
+    np.testing.assert_array_equal(load_model(p).dep, model.dep)
+
+
+def test_model_weight_below_the_load_bound_rejected(tmp_path):
+    p = saved_uniform(tmp_path)
+    rewrite_payload(p, lambda pl: pl["weights"]["A"]["T"]["B"].update(T=1e-20, F=1.0 - 1e-20))
+    with pytest.raises(ModelFormatError, match="A=T -> B=T: dep weight 1e-20 is below") as info:
+        load_model(p)
+    assert str(p) in str(info.value)
+
+
+def test_model_stop_weight_below_the_load_bound_rejected(tmp_path):
+    p = saved_uniform(tmp_path, Variant.STOP_AUGMENTED)
+    rewrite_payload(p, lambda pl: pl["stop_weights"]["B"].update(F=1e-20))
+    with pytest.raises(ModelFormatError, match="B=F: stop weight 1e-20 is below"):
         load_model(p)
 
 

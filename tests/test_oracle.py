@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from ldfm.oracle import (
     brute_valid_normalizer,
     enumerate_rooted_trees,
     exact_conditional,
+    is_rooted_tree,
     logsumexp,
 )
 
@@ -21,6 +23,14 @@ def test_tree_counts_match_cayley_formula():
     for n in range(1, 7):
         count = sum(1 for _ in enumerate_rooted_trees(n))
         assert count == (n + 1) ** (n - 1)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_tree_table_keeps_the_scanned_trees_in_product_order(n):
+    # reference: scan all n^n candidate vectors, following each node's path
+    choices = [[p for p in range(n + 1) if p != j] for j in range(1, n + 1)]
+    scanned = [cand[1:] for cand in itertools.product([-1], *choices) if is_rooted_tree(cand)]
+    assert list(enumerate_rooted_trees(n)) == scanned
 
 
 def per_cell_edge_posteriors(weights: np.ndarray) -> np.ndarray:

@@ -24,6 +24,8 @@ from ldfm.sampling import (
     SamplerConfig,
     SamplerKind,
     _draw_rows,
+    _row_cdfs,
+    _subtree_mask,
     estimate_cll,
     estimate_cmll,
     gibbs_sweep,
@@ -145,6 +147,50 @@ def test_tree_step_preserves_tree_validity():
     for _ in range(500):
         tree_augmented_step(model, values, pinned, parents, rngs)
         assert all(is_rooted_tree(p) for p in parents)
+
+
+def _stack_subtree(parents, node):
+    """The nodes under ``node`` in one parent vector, by depth-first search."""
+    subtree, stack = [], [node]
+    while stack:
+        j = stack.pop()
+        subtree.append(j)
+        stack.extend(np.nonzero(parents[1:] == j)[0] + 1)
+    return subtree
+
+
+def _path_tree(order):
+    """The parent vector of the path root -> order[0] -> order[1] -> ..."""
+    parents = np.full(len(order) + 1, -1, dtype=np.int64)
+    parents[order] = np.concatenate([[0], order[:-1]])
+    return parents
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 16, 17, 20])
+def test_subtree_mask_matches_a_depth_first_search(n):
+    rng = np.random.default_rng(n)
+    # random trees, and paths: the deepest trees, the last node n - 1 steps below the first
+    trees = [random_parent_vector(n, rng) for _ in range(6)]
+    trees += [_path_tree(np.arange(1, n + 1)), _path_tree(np.arange(n, 0, -1))]
+    trees += [_path_tree(rng.permutation(n) + 1) for _ in range(2)]
+    parents = np.array([tree for tree in trees for _ in range(n)])
+    nodes = np.tile(np.arange(1, n + 1), len(trees))
+    mask = _subtree_mask(parents, nodes)
+    for c, (tree, node) in enumerate(zip(parents, nodes)):
+        expected = np.zeros(n + 1, dtype=bool)
+        expected[_stack_subtree(tree, node)] = True
+        np.testing.assert_array_equal(mask[c], expected, err_msg=f"{tree}, node {node}")
+
+
+@pytest.mark.parametrize(
+    "row",
+    [[-np.inf, -np.inf, -np.inf], [np.nan, np.nan, np.nan], [0.0, np.nan, -1.0]],
+    ids=["all-zero", "all-nan", "one-nan"],
+)
+def test_row_cdfs_raises_for_an_all_zero_row_or_a_nan(row):
+    logw = np.array([[0.0, -1.0, -np.inf], row, [-0.5, -0.5, -np.inf]])
+    with pytest.raises(SingularLaplacianError, match="^row 1 cannot be drawn$"):
+        _row_cdfs(logw, lambda r: f"row {r} cannot be drawn")
 
 
 def _reference_draw(logw, rng, error):
