@@ -55,12 +55,12 @@ class Dataset:
         return self.rows.shape[0]
 
 
-def _read_table(path) -> list[list[str]]:
+def _read_lines(path) -> list[str]:
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or not lines[0].strip():
         raise DatasetFormatError(f"{path}: empty dataset file")
-    return [line.split(",") for line in lines if line != ""]
+    return [line for line in lines if line != ""]
 
 
 def load_dataset(path, schema: VariableSchema | None = None) -> Dataset:
@@ -69,23 +69,30 @@ def load_dataset(path, schema: VariableSchema | None = None) -> Dataset:
     Inferred domains list labels in order of first appearance.  A supplied
     schema wins: headers must match its variable order and every label must
     belong to the declared domain.  Labels are mapped one column at a time
-    through the schema's label-to-index dicts.  The first line with the
-    wrong number of fields is reported before any label; an unknown label
-    is reported at the first line that holds one, in that line's first bad
-    column.
+    through the schema's label-to-index dicts.  A line the file repeats is
+    split and mapped once.  The first line with the wrong number of fields
+    is reported before any label; an unknown label is reported at the first
+    line that holds one, in that line's first bad column.
     """
-    table = _read_table(path)
-    header, body = table[0], table[1:]
+    header, *body = _read_lines(path)
+    header = header.split(",")
     if schema is not None:
         if list(schema.names) != header:
             raise DatasetFormatError(
                 f"{path}: header {header} does not match schema variables {list(schema.names)}"
             )
+    # the distinct lines in order of first appearance, which keeps the
+    # file's first bad line first and its labels' order of first appearance
+    distinct = {line: i for i, line in enumerate(dict.fromkeys(body))}
+    lines = list(distinct)
+    table = [line.split(",") for line in lines]
     n = len(header)
-    if set(map(len, body)) - {n}:
-        lineno, row = next((i, row) for i, row in enumerate(body, start=2) if len(row) != n)
-        raise DatasetFormatError(f"{path}:{lineno}: expected {n} fields, found {len(row)}")
-    columns = list(zip(*body)) or [()] * n
+    if set(map(len, table)) - {n}:
+        line, row = next((line, row) for line, row in zip(lines, table) if len(row) != n)
+        raise DatasetFormatError(
+            f"{path}:{body.index(line) + 2}: expected {n} fields, found {len(row)}"
+        )
+    columns = list(zip(*table)) or [()] * n
     if schema is None:
         if not body:
             raise DatasetFormatError(f"{path}: dataset has a header but no rows")
@@ -95,8 +102,8 @@ def load_dataset(path, schema: VariableSchema | None = None) -> Dataset:
             )
         except ValueError as exc:
             raise DatasetFormatError(f"{path}: {exc}") from None
-    rows = np.empty((len(body), n), dtype=np.int64)
-    bad = []  # (first bad row, column) of every column holding an unknown label
+    rows = np.empty((len(table), n), dtype=np.int64)
+    bad = []  # (first bad distinct line, column) of every column holding an unknown label
     for i, (col, index) in enumerate(zip(columns, schema.label_index)):
         try:
             rows[:, i] = np.fromiter(map(index.__getitem__, col), np.int64, len(col))
@@ -105,9 +112,10 @@ def load_dataset(path, schema: VariableSchema | None = None) -> Dataset:
     if bad:
         r, i = min(bad)
         raise DatasetFormatError(
-            f"{path}:{r + 2}: unknown value {columns[i][r]!r} for variable {header[i]!r}"
+            f"{path}:{body.index(lines[r]) + 2}: unknown value {columns[i][r]!r} "
+            f"for variable {header[i]!r}"
         )
-    return Dataset(schema, rows)
+    return Dataset(schema, rows[np.fromiter(map(distinct.__getitem__, body), np.intp, len(body))])
 
 
 def save_dataset(dataset: Dataset, path) -> None:

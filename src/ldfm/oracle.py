@@ -19,6 +19,7 @@ from .model import MISSING, LdfmModel, Variant
 
 MAX_TREE_N = 8
 MAX_STATE_SPACE = 4096
+TREE_BLOCK = 1 << 16  # trees (or candidate parent vectors) per array operation
 
 
 def logsumexp(values: np.ndarray) -> float:
@@ -74,16 +75,17 @@ def _tree_table(n: int) -> np.ndarray:
     whose digit for node j (node 1 most significant) indexes its candidate
     parents, and a candidate is kept when pointer jumping takes every node
     to the root: after k rounds ``up`` holds each node's 2^k-th ancestor,
-    and a node on or above a cycle never reaches 0.
+    and a node on or above a cycle never reaches 0.  Parents are int8
+    (n <= 8), so the n = 8 table takes 38 MB.
     """
     if not 1 <= n <= MAX_TREE_N:
         raise ValueError(f"n must be in [1, {MAX_TREE_N}], got {n}")
-    table = np.empty(((n + 1) ** (n - 1), n), dtype=np.int64)
+    table = np.empty(((n + 1) ** (n - 1), n), dtype=np.int8)
     nodes = np.arange(1, n + 1)
     place = n ** np.arange(n - 1, -1, -1)
-    kept, block = 0, 1 << 16
-    for start in range(0, n**n, block):
-        digits = np.arange(start, min(start + block, n**n))[:, None] // place % n
+    kept = 0
+    for start in range(0, n**n, TREE_BLOCK):
+        digits = np.arange(start, min(start + TREE_BLOCK, n**n))[:, None] // place % n
         cand = digits + (digits >= nodes)  # skip each node's own index
         up = np.concatenate([np.zeros((len(cand), 1), dtype=np.int64), cand], axis=1)
         span = 1
@@ -98,11 +100,17 @@ def _tree_table(n: int) -> np.ndarray:
 
 
 def _tree_log_weights(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The tree table and each tree's log weight, gathered a block of trees
+    at a time so that no index copy of the whole table is made."""
     n = weights.shape[1]
     trees = _tree_table(n)
     with np.errstate(divide="ignore"):
         logw = np.log(weights)
-    return trees, logw[trees, np.arange(n)].sum(axis=1)
+    tree_logw = np.empty(len(trees))
+    for start in range(0, len(trees), TREE_BLOCK):
+        block = slice(start, start + TREE_BLOCK)
+        tree_logw[block] = logw[trees[block], np.arange(n)].sum(axis=1)
+    return trees, tree_logw
 
 
 def brute_partition_and_posteriors(weights: np.ndarray) -> tuple[float, np.ndarray]:

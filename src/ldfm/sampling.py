@@ -10,7 +10,13 @@ bisection; a missed context scores only the candidate rows the row layer
 lacks.  The memo holds at most MEMO_CAP floats over both layers (one per
 row, the domain size per conditional), is cleared when it would pass them,
 and dies with the call, so its size does not grow with the number of
-instances; it leaves every draw unchanged.
+instances; it leaves every draw unchanged.  When the call's distinct
+evidence rows can need no more than MEMO_CAP floats in all, (1 + f) R for
+a row with f free variables and R free completions, the memo is filled
+before the first sweep: every completion scored in one batched call and
+every drawable context's CDF stored, so no step misses.  A 64-instance
+block at n = 8 with distinct evidence rows (28,672 floats) still fills
+lazily.
 Each chain draws the uniforms of a sweep in one generator call, the same
 doubles one call per variable would give.
 
@@ -205,6 +211,73 @@ def _fill_conditionals(
     return list(map(new.get, keys, cdfs))  # a stored CDF's key is not in new
 
 
+def _free_completions(
+    evidence: np.ndarray, cards: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every completion of the MISSING slots of each row of the (I, n)
+    ``evidence``, stacked in row order as (N, n), with the evidence row
+    each came from and the (I, n) place value of every slot.
+
+    A row's k-th completion holds (k // place) % card in each free slot, so
+    the last free variable varies fastest; a pinned slot has place 1 and
+    radix 1.  The caller bounds the count: a row has the product of its
+    free variables' domain sizes.
+    """
+    radix = np.where(evidence == MISSING, cards, 1)
+    place = np.ones_like(radix)
+    place[:, :-1] = np.cumprod(radix[:, :0:-1], axis=1)[:, ::-1]
+    sizes = radix.prod(axis=1)
+    owner = np.repeat(np.arange(len(evidence)), sizes)
+    k = np.arange(owner.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    free = evidence[owner] == MISSING
+    completions = np.where(free, k[:, None] // place[owner] % radix[owner], evidence[owner])
+    return completions, owner, place
+
+
+def _start_memo(model: LdfmModel, evidence: np.ndarray) -> dict:
+    """The Gibbs memo a ``run_chains`` call on the (I, n) ``evidence`` starts
+    with: complete when it fits, else empty.
+
+    The chains of an evidence row with R free completions and f free
+    variables can ask for at most (1 + f) R floats: a log joint per
+    completion and, per free variable, R / card contexts of card floats
+    each.  If that sum over the distinct rows fits under MEMO_CAP, every
+    distinct completion is scored in one batched call and each variable's
+    conditional CDFs come from one ``_row_cdfs`` call over the completion
+    grid, so no sweep misses.  A context whose candidates all score -inf is
+    not stored: a chain that reaches it raises through ``_fill_conditionals``
+    as it would with an empty memo.  Keys and values are those the lazy
+    path stores, with the same bits, so draws do not change.
+    """
+    cards = model.schema.cards
+    evidence = np.unique(evidence, axis=0)
+    evidence = evidence[(evidence == MISSING).any(axis=1)]  # a fully pinned row asks nothing
+    free = evidence == MISSING
+    sizes = np.where(free, cards, 1).prod(axis=1, dtype=np.float64)  # no overflow
+    if float(sizes @ (1 + free.sum(axis=1))) > MEMO_CAP:
+        return {}
+    narrow = np.min_scalar_type(int(cards.max()) - 1)  # the keys gibbs_sweep builds
+    completions, owner, place = _free_completions(evidence, cards)
+    completions = completions.astype(narrow)
+    keys = completions.view(np.dtype((np.void, narrow.itemsize * model.schema.n))).ravel()
+    distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    scored = matrix_tree.unnormalized_log_joint_many(
+        model, completions[first], on_singular="neginf"
+    )
+    memo = dict(zip(distinct.tolist(), scored.tolist()))
+    log_joints = scored[inverse]
+    for var, card in enumerate(cards.tolist()):
+        # a context is the completion holding 0 in var's slot
+        contexts = np.nonzero(free[owner, var] & (completions[:, var] == 0))[0]
+        steps = place[owner[contexts], var]
+        logw = log_joints[contexts[:, None] + steps[:, None] * np.arange(card)]
+        drawable = logw.max(axis=1) > -np.inf  # as _row_cdfs tests it
+        if drawable.any():
+            cdfs = _row_cdfs(logw[drawable], lambda row: "unreachable")
+            memo[var] = dict(zip(keys[contexts[drawable]].tolist(), cdfs.tolist()))
+    return memo
+
+
 def gibbs_sweep(
     model: LdfmModel, values: np.ndarray, pinned: np.ndarray, memo: dict | None, rngs: list
 ) -> None:
@@ -350,9 +423,9 @@ def run_chains(
     evidence = np.repeat(evidence, config.chains, axis=0)
     pinned = np.repeat(pinned, config.chains, axis=0)
     values = np.where(pinned, evidence, [r.integers(0, model.schema.cards, size=n) for r in rngs])
-    # the kernel's own state: the call's log-joint memo, or each chain's tree
+    # the kernel's own state: the call's Gibbs memo, or each chain's tree
     if gibbs:
-        step, aux = gibbs_sweep, {}
+        step, aux = gibbs_sweep, _start_memo(model, evidence)
     else:
         step, aux = tree_augmented_step, np.array([random_parent_vector(n, r) for r in rngs])
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -268,11 +269,14 @@ def test_batched_tree_step_matches_per_chain_reference(variant):
         np.testing.assert_array_equal(parents, ref_parents)
 
 
-def _one_value_impossible_model(schema):
+def _one_value_impossible_model(schema, variant=Variant.PLAIN):
     # X2=F gets no weight from any source, so an X2=F chain is impossible
     x1t, x2t = (0, 0), (1, 0)
     return model_from_weights(
-        schema, {(None, x1t): 0.5, (None, x2t): 0.5, (x1t, x2t): 1.0, (x2t, x1t): 1.0}
+        schema,
+        {(None, x1t): 0.5, (None, x2t): 0.5, (x1t, x2t): 1.0, (x2t, x1t): 1.0},
+        variant,
+        stop={src: 0.5 for src in (None, x1t, (0, 1), x2t, (1, 1))},
     )
 
 
@@ -440,11 +444,39 @@ def test_run_chains_pools_each_rows_chains_like_run_chain(kind):
     np.testing.assert_array_equal(alone[0], draws[1])
 
 
-def _memo_test_draws(model: LdfmModel, chains: int) -> np.ndarray:
-    evidence = np.full((2, model.schema.n), MISSING)
+def _memo_test_evidence(n: int) -> np.ndarray:
+    evidence = np.full((2, n), MISSING)
     evidence[1, 2] = 1
+    return evidence
+
+
+def _memo_test_draws(model: LdfmModel, chains: int) -> np.ndarray:
     config = SamplerConfig(samples=25, thin=2, burn_in=5, chains=chains)
-    return run_chains(model, evidence, config, [[3, 0], [3, 1]])
+    return run_chains(model, _memo_test_evidence(model.schema.n), config, [[3, 0], [3, 1]])
+
+
+def _fill_size(model: LdfmModel, evidence: np.ndarray) -> int:
+    """Floats a Gibbs memo filled up front for ``evidence`` is counted at:
+    (1 + f) R per distinct row with f free variables and R completions."""
+    total = 0
+    for row in {tuple(row) for row in evidence.tolist() if MISSING in row}:
+        free = [int(c) for c, v in zip(model.schema.cards, row) if v == MISSING]
+        total += (1 + len(free)) * math.prod(free)
+    return total
+
+
+def _scoring_calls(monkeypatch) -> list:
+    """One list per later ``unnormalized_log_joint_many`` call: the bytes of
+    each row it scored."""
+    calls = []
+    score = matrix_tree.unnormalized_log_joint_many
+
+    def counting(model, xs, on_singular="raise"):
+        calls.append(list(map(bytes, xs)))
+        return score(model, xs, on_singular=on_singular)
+
+    monkeypatch.setattr(matrix_tree, "unnormalized_log_joint_many", counting)
+    return calls
 
 
 @pytest.mark.parametrize("variant", list(Variant))
@@ -510,27 +542,101 @@ def test_gibbs_sweeps_sharing_a_memo_match_memoless_sweeps(cards, variant):
 
 @pytest.mark.parametrize("variant", list(Variant))
 def test_gibbs_memo_scores_each_distinct_row_once(monkeypatch, variant):
-    rng = np.random.default_rng(67)
-    model = random_model(rng, random_schema(rng, 5), variant)
-    scored = []
-    score = matrix_tree.unnormalized_log_joint_many
+    calls = _scoring_calls(monkeypatch)
 
-    def counting(model, xs, on_singular="raise"):
-        scored.extend(map(bytes, xs))
-        return score(model, xs, on_singular=on_singular)
-
-    monkeypatch.setattr(matrix_tree, "unnormalized_log_joint_many", counting)
+    # five variables of eight values: the completions pass MEMO_CAP, so the
+    # memo fills as the chains go.  Every value but v0 gets a hundredth of
+    # its incoming weight, so the chains keep coming back to the same rows.
+    schema = VariableSchema(tuple((f"X{i}", tuple(f"v{j}" for j in range(8))) for i in range(5)))
+    base = random_model(np.random.default_rng(67), schema, variant)
+    dep = base.dep.copy()
+    dep[:, schema.offsets[:, None] + np.arange(1, 8)] *= 0.01
+    model = LdfmModel(schema, variant, dep, base.stop)
+    assert _fill_size(model, _memo_test_evidence(5)) > sampling.MEMO_CAP
     draws = _memo_test_draws(model, 3)
-    memo_rows = list(scored)
-    assert len(set(memo_rows)) == len(memo_rows)
+    memo_rows = [row for call in calls for row in call]
+    assert len(calls) > 1 and len(set(memo_rows)) == len(memo_rows)
 
     # a cap of 1 stores nothing, so every sweep scores each of its distinct
     # candidate rows: together, every candidate row of the run
-    scored.clear()
-    monkeypatch.setattr(sampling, "MEMO_CAP", 1)
-    np.testing.assert_array_equal(_memo_test_draws(model, 3), draws)
+    calls.clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(sampling, "MEMO_CAP", 1)
+        np.testing.assert_array_equal(_memo_test_draws(model, 3), draws)
+    scored = [row for call in calls for row in call]
     assert set(scored) == set(memo_rows)
     assert len(scored) > 3 * len(memo_rows)
+
+    # a small state space is scored up front: every free completion of both
+    # evidence rows (all rows, as the first pins nothing), once, in one call
+    rng = np.random.default_rng(67)
+    model = random_model(rng, random_schema(rng, 5), variant)
+    cards = model.schema.cards.tolist()
+    completions = set(map(bytes, np.array(list(itertools.product(*map(range, cards))), np.uint8)))
+    calls.clear()
+    draws = _memo_test_draws(model, 3)
+    [memo_rows] = calls
+    assert len(set(memo_rows)) == len(memo_rows) and set(memo_rows) == completions
+
+    calls.clear()
+    monkeypatch.setattr(sampling, "MEMO_CAP", 1)
+    np.testing.assert_array_equal(_memo_test_draws(model, 3), draws)
+    assert {row for call in calls for row in call} <= completions
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("chains", [1, 3])
+def test_gibbs_memo_filled_up_front_draws_like_a_lazy_memo(monkeypatch, variant, chains):
+    rng = np.random.default_rng(89)
+    model = random_model(rng, random_schema(rng, 5), variant)
+    calls = _scoring_calls(monkeypatch)
+    filled = _memo_test_draws(model, chains)
+    assert len(calls) == 1
+
+    # one float short of the fill, the memo starts empty
+    calls.clear()
+    monkeypatch.setattr(sampling, "MEMO_CAP", _fill_size(model, _memo_test_evidence(5)) - 1)
+    np.testing.assert_array_equal(_memo_test_draws(model, chains), filled)
+    assert len(calls) > 1
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_gibbs_memo_filled_up_front_holds_at_most_memo_cap_floats(monkeypatch, variant):
+    rng = np.random.default_rng(97)
+    model = random_model(rng, random_schema(rng, 5), variant)
+    starts = []
+    sweep = sampling.gibbs_sweep
+
+    def watched(model, values, pinned, memo, rngs):
+        if not starts:
+            starts.append(_stored_floats_of(memo))
+        sweep(model, values, pinned, memo, rngs)
+
+    monkeypatch.setattr(sampling, "gibbs_sweep", watched)
+    for cap in (sampling.MEMO_CAP, _fill_size(model, _memo_test_evidence(5))):
+        monkeypatch.setattr(sampling, "MEMO_CAP", cap)
+        starts.clear()
+        _memo_test_draws(model, 2)
+        assert 0 < starts[0] <= cap
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_gibbs_memo_fill_leaves_out_contexts_with_no_drawable_value(
+    monkeypatch, two_binary_schema, variant
+):
+    model = _one_value_impossible_model(two_binary_schema, variant)
+    # X1=F also gets no weight, so only (T, T) scores: X1's context X2=F
+    # and X2's context X1=F are all -inf, and the fill leaves them out
+    memo = sampling._start_memo(model, np.full((1, 2), MISSING))
+    assert [v for v in memo.values() if isinstance(v, float)].count(-np.inf) == 3
+    assert len(memo[0]) == len(memo[1]) == 1
+    # with X2 pinned to F, the chain meets the left-out context and raises
+    # as it does with a memo that starts empty
+    evidence = np.array([[MISSING, 1]])
+    for cap in (sampling.MEMO_CAP, 1):
+        monkeypatch.setattr(sampling, "MEMO_CAP", cap)
+        with pytest.raises(SingularLaplacianError, match="every value of variable 0"):
+            run_chains(model, evidence, SamplerConfig(samples=2, burn_in=0), [0])
 
 
 def test_gibbs_sweep_draws_each_chains_uniforms_in_one_call():
