@@ -15,7 +15,7 @@ from ldfm.dataio import GroundTruthNet, forward_sample
 from ldfm.learning import Smoothing, TrainConfig, train_em
 from ldfm.model import MISSING, VariableSchema
 from ldfm.oracle import exact_conditional
-from ldfm.sampling import QueryInstance, SamplerConfig, SamplerKind, run_chain
+from ldfm.sampling import SamplerConfig, SamplerKind, run_chains
 
 
 def main() -> int:
@@ -56,17 +56,14 @@ def main() -> int:
             for s in states
         ]
     )
-    query = np.full(n, MISSING, dtype=np.int64)
-    query[0] = 0
-    instance = QueryInstance(query=query, evidence=evidence)
-
+    seeds = [args.seed + seed for seed in range(args.seeds)]
     print(f"{'sampler':>8} {'samples':>8} {'mean TV':>9}")
     for kind in SamplerKind:
         for budget in args.budgets:
             tvs = []
-            for seed in range(args.seeds):
-                config = SamplerConfig(sampler=kind, samples=budget, seed=args.seed + seed)
-                samples = run_chain(model, instance, config)
+            # one row per seed; a row's draws do not depend on the rows beside it
+            config = SamplerConfig(sampler=kind, samples=budget)
+            for samples in run_chains(model, np.tile(evidence, (len(seeds), 1)), config, seeds):
                 emp = np.array(
                     [
                         np.mean(np.all(samples[:, free] == np.array(s)[None, :], axis=1))

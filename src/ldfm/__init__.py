@@ -66,10 +66,7 @@ from .sampling import (
     SamplerKind,
     estimate_cll,
     estimate_cmll,
-    gibbs_sweep,
-    run_chain,
     run_chains,
-    tree_augmented_step,
 )
 
 __all__ = [
@@ -106,7 +103,6 @@ __all__ = [
     "fixture_net",
     "format_report",
     "forward_sample",
-    "gibbs_sweep",
     "load_dataset",
     "load_model",
     "load_schema",
@@ -115,13 +111,11 @@ __all__ = [
     "make_query_instances",
     "make_uniform_model",
     "partition_and_posteriors_many",
-    "run_chain",
     "run_chains",
     "save_dataset",
     "save_model",
     "save_schema",
     "train_em",
-    "tree_augmented_step",
     "unnormalized_log_joint_many",
     "validate_model",
 ]

@@ -246,7 +246,7 @@ def _cmd_query(args) -> int:
     query = _parse_bindings(schema, args.query)
     evidence = _parse_bindings(schema, args.evidence)
     instance = sampling.QueryInstance(query=query, evidence=evidence)
-    samples = sampling.run_chain(model, instance, _sampler_config(args))
+    samples = sampling.run_chains(model, evidence[None], _sampler_config(args), [args.seed])[0]
     prob = float(np.exp(sampling.estimate_cll(samples, instance)))
     sys.stdout.write(f"probability: {prob:.6f}\n")
     return 0

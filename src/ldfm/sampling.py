@@ -1,5 +1,9 @@
 """MCMC query answering: value-wise Gibbs and tree-augmented sampling.
 
+``run_chains`` is the one public way to draw; its two kernels take the
+engine's private state (the call's Gibbs memo, each chain's parent
+vector), so ``ldfm`` does not export them.
+
 Gibbs resamples one variable at a time from the conditional implied by the
 unnormalized joint, costing one determinant per distinct candidate row.
 Each ``run_chains`` call keeps a two-layer memo: a variable's normalised
@@ -11,12 +15,12 @@ lacks.  The memo holds at most MEMO_CAP floats over both layers (one per
 row, the domain size per conditional), is cleared when it would pass them,
 and dies with the call, so its size does not grow with the number of
 instances; it leaves every draw unchanged.  When the call's distinct
-evidence rows can need no more than MEMO_CAP floats in all, (1 + f) R for
-a row with f free variables and R free completions, the memo is filled
-before the first sweep: every completion scored in one batched call and
-every drawable context's CDF stored, so no step misses.  A 64-instance
-block at n = 8 with distinct evidence rows (28,672 floats) still fills
-lazily.
+evidence rows can need no more than MEMO_CAP conditional floats in all,
+f R for a row with f free variables and R free completions, the memo
+starts as the conditional layer alone: every completion scored in one
+batched call and every drawable context's CDF stored, so no step misses.
+A 64-instance block at n = 8 with distinct evidence rows (24,576 floats)
+still fills lazily.
 Each chain draws the uniforms of a sweep in one generator call, the same
 doubles one call per variable would give.
 
@@ -236,39 +240,41 @@ def _free_completions(
 
 def _start_memo(model: LdfmModel, evidence: np.ndarray) -> dict:
     """The Gibbs memo a ``run_chains`` call on the (I, n) ``evidence`` starts
-    with: complete when it fits, else empty.
+    with: its complete conditional layer when that fits, else empty.
 
     The chains of an evidence row with R free completions and f free
-    variables can ask for at most (1 + f) R floats: a log joint per
-    completion and, per free variable, R / card contexts of card floats
-    each.  If that sum over the distinct rows fits under MEMO_CAP, every
-    distinct completion is scored in one batched call and each variable's
-    conditional CDFs come from one ``_row_cdfs`` call over the completion
-    grid, so no sweep misses.  A context whose candidates all score -inf is
-    not stored: a chain that reaches it raises through ``_fill_conditionals``
-    as it would with an empty memo.  Keys and values are those the lazy
-    path stores, with the same bits, so draws do not change.
+    variables can ask for at most f R conditional floats: per free variable,
+    R / card contexts of card floats each.  If that sum over the distinct
+    rows fits under MEMO_CAP, every distinct completion is scored in one
+    batched call and each variable's conditional CDFs come from one
+    ``_row_cdfs`` call over the completion grid, so no sweep misses and no
+    row's log joint need be kept.  A context whose candidates all score
+    -inf is not stored: a chain that reaches it scores its rows through
+    ``_fill_conditionals`` and raises, as it would with an empty memo.
+    Keys and values are those the lazy path stores, with the same bits, so
+    draws do not change.
     """
     cards = model.schema.cards
     evidence = np.unique(evidence, axis=0)
     evidence = evidence[(evidence == MISSING).any(axis=1)]  # a fully pinned row asks nothing
     free = evidence == MISSING
     sizes = np.where(free, cards, 1).prod(axis=1, dtype=np.float64)  # no overflow
-    if float(sizes @ (1 + free.sum(axis=1))) > MEMO_CAP:
+    if float(sizes @ free.sum(axis=1)) > MEMO_CAP:
         return {}
     narrow = np.min_scalar_type(int(cards.max()) - 1)  # the keys gibbs_sweep builds
     completions, owner, place = _free_completions(evidence, cards)
     completions = completions.astype(narrow)
     keys = completions.view(np.dtype((np.void, narrow.itemsize * model.schema.n))).ravel()
-    distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    scored = matrix_tree.unnormalized_log_joint_many(
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    log_joints = matrix_tree.unnormalized_log_joint_many(
         model, completions[first], on_singular="neginf"
-    )
-    memo = dict(zip(distinct.tolist(), scored.tolist()))
-    log_joints = scored[inverse]
+    )[inverse]
+    memo = {}
     for var, card in enumerate(cards.tolist()):
-        # a context is the completion holding 0 in var's slot
+        # a context is the completion holding 0 in var's slot, taken once
+        # however many evidence rows share it
         contexts = np.nonzero(free[owner, var] & (completions[:, var] == 0))[0]
+        contexts = contexts[np.unique(inverse[contexts], return_index=True)[1]]
         steps = place[owner[contexts], var]
         logw = log_joints[contexts[:, None] + steps[:, None] * np.arange(card)]
         drawable = logw.max(axis=1) > -np.inf  # as _row_cdfs tests it
@@ -279,7 +285,7 @@ def _start_memo(model: LdfmModel, evidence: np.ndarray) -> dict:
 
 
 def gibbs_sweep(
-    model: LdfmModel, values: np.ndarray, pinned: np.ndarray, memo: dict | None, rngs: list
+    model: LdfmModel, values: np.ndarray, pinned: np.ndarray, memo: dict, rngs: list
 ) -> None:
     """Resample every non-evidence variable of every chain in turn, in place.
 
@@ -293,10 +299,8 @@ def gibbs_sweep(
     score only the candidate rows the memo lacks, in one batched call, and
     are stored if they had all been seen before (see
     ``_fill_conditionals``).  The two layers together hold at most
-    MEMO_CAP floats.  ``run_chains`` passes one memo for all its sweeps;
-    None starts an empty one for this sweep.
+    MEMO_CAP floats.  ``run_chains`` passes one memo for all its sweeps.
     """
-    memo = {} if memo is None else memo
     # rows in the narrowest type that holds every value index, so the memo's
     # keys (their bytes) are short
     narrow = np.min_scalar_type(int(model.schema.cards.max()) - 1)
@@ -372,12 +376,10 @@ def tree_augmented_step(
     allowed = np.where(pinned[chains, var][:, None], grid == own, grid < card)
     val_cols = schema.offsets[var][:, None] + np.minimum(grid, card - 1)
     val_rows = 1 + val_cols
-    # each chain's key columns; its source rows are the root's 0 and 1 + these
-    cols = schema.offsets + values
-    rows_all = np.zeros((len(rngs), width), dtype=np.int64)
-    rows_all[:, 1:] = 1 + cols
+    # each chain's source rows: the root's 0, then 1 + each node's key column
+    rows_all = schema.assignment_rows(values)
     is_child = parents[:, None, 1:] == nodes[:, None, None]
-    child_cols = cols[:, None, :]
+    child_cols = rows_all[:, None, 1:] - 1
     # (value, parent) grid of log incoming weight, plus value-only terms
     log_in = model.log_dep[rows_all[:, None, :], val_cols[:, :, None]]
     child_logw = model.log_dep[val_rows[:, :, None], child_cols]
@@ -447,7 +449,9 @@ def run_chain(
 ) -> np.ndarray:
     """Pooled value-vector samples from ``config.chains`` independent chains.
 
-    The returned array has chains * samples rows in chain order.
+    The returned array has chains * samples rows in chain order.  Kept only
+    because perfbench's replay draws through it by name; ROADMAP item 5
+    moves that replay to ``run_chains`` and deletes this.
     """
     seed = seed if seed is not None else config.seed
     return run_chains(model, [instance.evidence], config, [seed])[0]

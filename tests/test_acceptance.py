@@ -57,7 +57,7 @@ from ldfm.sampling import (
     SamplerConfig,
     SamplerKind,
     estimate_cll,
-    run_chain,
+    run_chains,
 )
 
 from conftest import WORKED_Z, random_model, random_schema, worked_graph
@@ -204,12 +204,13 @@ def test_criterion_6_sampler_convergence():
     )
     tv = {}
     est = {}
+    seeds = list(range(5))
     for kind in SamplerKind:
         tvs = []
         ests = []
-        for seed in range(5):
-            config = SamplerConfig(sampler=kind, samples=50_000, seed=seed)
-            samples = run_chain(model, instance, config)
+        # one row per seed, each drawing as it would alone
+        config = SamplerConfig(sampler=kind, samples=50_000)
+        for samples in run_chains(model, np.tile(evidence, (len(seeds), 1)), config, seeds):
             emp = np.zeros((2, 2))
             for a in range(2):
                 for b in range(2):

@@ -103,7 +103,7 @@ def test_gibbs_uniform_model_is_symmetric(two_binary_schema):
 def test_gibbs_sweep_is_identity_when_all_pinned(two_binary_schema):
     model = make_uniform_model(two_binary_schema)
     values = np.array([[1, 0]])
-    gibbs_sweep(model, values, np.array([[True, True]]), None, [make_rng(0)])
+    gibbs_sweep(model, values, np.array([[True, True]]), {}, [make_rng(0)])
     np.testing.assert_array_equal(values, [[1, 0]])
 
 
@@ -116,7 +116,7 @@ def test_gibbs_raises_when_every_value_is_impossible(two_binary_schema):
     )
     values = np.array([[1, 1]])
     with pytest.raises(SingularLaplacianError):
-        gibbs_sweep(model, values, np.array([[False, True]]), None, [make_rng(0)])
+        gibbs_sweep(model, values, np.array([[False, True]]), {}, [make_rng(0)])
 
 
 def test_tree_step_single_variable_keeps_root_parent():
@@ -299,7 +299,7 @@ def test_gibbs_error_in_a_batch_with_one_impossible_chain(two_binary_schema):
     values = np.array([[0, 0], [1, 1]])
     pinned = np.array([[False, True], [False, True]])
     with pytest.raises(SingularLaplacianError, match="every value of variable 0"):
-        gibbs_sweep(model, values, pinned, None, chain_rngs(0, 2))
+        gibbs_sweep(model, values, pinned, {}, chain_rngs(0, 2))
 
 
 def test_gibbs_zero_uniform_never_draws_an_impossible_value(two_binary_schema):
@@ -457,11 +457,11 @@ def _memo_test_draws(model: LdfmModel, chains: int) -> np.ndarray:
 
 def _fill_size(model: LdfmModel, evidence: np.ndarray) -> int:
     """Floats a Gibbs memo filled up front for ``evidence`` is counted at:
-    (1 + f) R per distinct row with f free variables and R completions."""
+    f R per distinct row with f free variables and R completions."""
     total = 0
     for row in {tuple(row) for row in evidence.tolist() if MISSING in row}:
         free = [int(c) for c, v in zip(model.schema.cards, row) if v == MISSING]
-        total += (1 + len(free)) * math.prod(free)
+        total += len(free) * math.prod(free)
     return total
 
 
@@ -621,6 +621,29 @@ def test_gibbs_memo_filled_up_front_holds_at_most_memo_cap_floats(monkeypatch, v
 
 
 @pytest.mark.parametrize("variant", list(Variant))
+def test_gibbs_memo_filled_up_front_holds_one_cdf_per_context(variant):
+    rng = np.random.default_rng(101)
+    model = random_model(rng, random_schema(rng, 5), variant)
+    evidence = _memo_test_evidence(5)
+    memo = sampling._start_memo(model, evidence)
+    cards = model.schema.cards.tolist()
+    # the conditional layer alone: one key per variable, no row keys
+    assert sorted(memo) == list(range(5))
+    for var, card in enumerate(cards):
+        contexts = set()
+        for row in evidence:
+            ranges = [range(c) if v == MISSING else [v] for c, v in zip(cards, row)]
+            ranges[var] = [0] if row[var] == MISSING else []
+            contexts.update(itertools.product(*ranges))
+        assert set(memo[var]) == set(map(bytes, np.array(sorted(contexts), np.uint8)))
+        for key, cdf in memo[var].items():
+            context = np.frombuffer(key, np.uint8).astype(np.int64)
+            logw = _conditional_log_joints(model, context, var)
+            assert cdf == _row_cdfs(logw[None], lambda row: "unused")[0].tolist()
+    assert _stored_floats_of(memo) <= _fill_size(model, evidence) <= sampling.MEMO_CAP
+
+
+@pytest.mark.parametrize("variant", list(Variant))
 def test_gibbs_memo_fill_leaves_out_contexts_with_no_drawable_value(
     monkeypatch, two_binary_schema, variant
 ):
@@ -628,7 +651,7 @@ def test_gibbs_memo_fill_leaves_out_contexts_with_no_drawable_value(
     # X1=F also gets no weight, so only (T, T) scores: X1's context X2=F
     # and X2's context X1=F are all -inf, and the fill leaves them out
     memo = sampling._start_memo(model, np.full((1, 2), MISSING))
-    assert [v for v in memo.values() if isinstance(v, float)].count(-np.inf) == 3
+    assert sorted(memo) == [0, 1]  # no row entries
     assert len(memo[0]) == len(memo[1]) == 1
     # with X2 pinned to F, the chain meets the left-out context and raises
     # as it does with a memo that starts empty
