@@ -264,6 +264,8 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_gen_data(args) -> int:
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     net = fixture_net(args.n)
     dataset = forward_sample(net, args.samples, args.seed)
     save_dataset(dataset, args.out)
@@ -314,6 +316,8 @@ def dispatch(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if getattr(args, "seed", 0) < 0:  # train takes no seed
+            raise ValueError(f"--seed must be at least 0, got {args.seed}")
         return _COMMANDS[args.command](args)
     except (SingularLaplacianError, NumericConsistencyError) as exc:
         sys.stderr.write(f"numeric failure: {exc}\n")

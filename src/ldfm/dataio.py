@@ -13,15 +13,15 @@ import hashlib
 import json
 import warnings
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
 from .model import (
-    MIN_LOAD_WEIGHT,
     LdfmModel,
     Variant,
     VariableSchema,
-    validate_model,
+    _normalization_findings,
     weight_violations,
 )
 from .rng import make_rng
@@ -132,7 +132,28 @@ def save_dataset(dataset: Dataset, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-# -- schema sidecar ---------------------------------------------------------
+# -- JSON documents: schema sidecars and model files -------------------------
+
+
+def _write_document(path, body: dict, sort_keys: bool) -> None:
+    """Write ``body`` under this format's ``format_version`` as indented JSON."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"format_version": FORMAT_VERSION, **body}, fh, indent=2, sort_keys=sort_keys)
+        fh.write("\n")
+
+
+def _read_document(path, kind: str) -> dict:
+    """The JSON object in a ``kind`` ("schema" or "model") file; bad JSON or
+    another ``format_version`` raises ModelFormatError naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ModelFormatError(f"{path}: not a valid {kind} file ({exc})") from None
+    version = doc.get("format_version") if isinstance(doc, dict) else None
+    if version != FORMAT_VERSION:
+        raise ModelFormatError(f"{path}: unsupported format_version {version!r}")
+    return doc
 
 
 def _variables_doc(schema: VariableSchema) -> list[dict]:
@@ -150,22 +171,12 @@ def _schema_from_variables(variables) -> VariableSchema:
 
 
 def save_schema(schema: VariableSchema, path) -> None:
-    doc = {"format_version": FORMAT_VERSION, "variables": _variables_doc(schema)}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_document(path, {"variables": _variables_doc(schema)}, sort_keys=False)
 
 
 def load_schema(path) -> VariableSchema:
     """Read a schema sidecar; any defect raises ModelFormatError naming the file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"{path}: not a valid schema file ({exc})") from None
-    version = doc.get("format_version") if isinstance(doc, dict) else None
-    if version != FORMAT_VERSION:
-        raise ModelFormatError(f"{path}: unsupported format_version {version!r}")
+    doc = _read_document(path, "schema")
     try:
         return _schema_from_variables(doc["variables"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -177,37 +188,31 @@ def load_schema(path) -> VariableSchema:
 
 def _model_payload(model: LdfmModel) -> dict:
     schema = model.schema
-    names = schema.names
+    keys = [(name, label) for name, dom in schema.variables for label in dom]
+    legal = schema.source_mask.tolist()
+    dep = model.dep.tolist()
 
-    def row_weights(row: int) -> dict:
+    def by_label(cells) -> dict:
+        """The {variable: {label: value}} map of (key column, value) cells;
+        :func:`_model_from_payload`'s ``cells`` is its inverse."""
         out: dict = {}
-        for col in np.nonzero(schema.source_mask[row])[0]:
-            var = int(schema.key_var[col])
-            name, dom = schema.variables[var]
-            out.setdefault(name, {})[dom[col - schema.offsets[var]]] = float(model.dep[row, col])
+        for col, value in cells:
+            name, label = keys[col]
+            out.setdefault(name, {})[label] = value
         return out
 
+    # every target is legal from the root; a pair key's own variable is not
+    sources = [by_label(compress(enumerate(w), m)) for w, m in zip(dep[1:], legal[1:])]
     payload: dict = {
         "variant": model.variant.value,
         "variables": _variables_doc(schema),
-        "root_weights": row_weights(0),
-        "weights": {
-            names[v]: {
-                schema.variables[v][1][val]: row_weights(1 + schema.col_of(v, val))
-                for val in range(int(schema.cards[v]))
-            }
-            for v in range(schema.n)
-        },
+        "root_weights": by_label(enumerate(dep[0])),
+        "weights": by_label(enumerate(sources)),
     }
     if model.variant is Variant.STOP_AUGMENTED:
-        payload["root_stop"] = float(model.stop[0])
-        payload["stop_weights"] = {
-            names[v]: {
-                schema.variables[v][1][val]: float(model.stop[1 + schema.col_of(v, val)])
-                for val in range(int(schema.cards[v]))
-            }
-            for v in range(schema.n)
-        }
+        stop = model.stop.tolist()
+        payload["root_stop"] = stop[0]
+        payload["stop_weights"] = by_label(enumerate(stop[1:]))
     return payload
 
 
@@ -218,14 +223,8 @@ def _payload_checksum(payload: dict) -> str:
 
 def save_model(model: LdfmModel, path) -> None:
     payload = _model_payload(model)
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "checksum": _payload_checksum(payload),
-        "payload": payload,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    doc = {"checksum": _payload_checksum(payload), "payload": payload}
+    _write_document(path, doc, sort_keys=True)
 
 
 def _number(value, what: str):
@@ -275,45 +274,15 @@ def _model_from_payload(payload: dict, path) -> LdfmModel:
     return LdfmModel(schema, variant, dep, stop)
 
 
-def _tiny_weights(model: LdfmModel) -> list[str]:
-    """The first positive dep weight and the first positive stop weight
-    below MIN_LOAD_WEIGHT, each named by its cell."""
-    schema = model.schema
-    found = []
-    tiny = np.argwhere((model.dep > 0.0) & (model.dep < MIN_LOAD_WEIGHT))
-    if tiny.size:
-        row, col = tiny[0]
-        found.append(
-            f"{schema.describe_row(row)} -> {schema.describe_row(1 + col)}: dep weight "
-            f"{model.dep[row, col]:.6g} is below the smallest loadable weight {MIN_LOAD_WEIGHT:g}"
-        )
-    if model.stop is not None:
-        tiny = np.nonzero((model.stop > 0.0) & (model.stop < MIN_LOAD_WEIGHT))[0]
-        if tiny.size:
-            row = tiny[0]
-            found.append(
-                f"{schema.describe_row(row)}: stop weight {model.stop[row]:.6g} "
-                f"is below the smallest loadable weight {MIN_LOAD_WEIGHT:g}"
-            )
-    return found
-
-
 def load_model(path) -> LdfmModel:
     """Rebuild a model from a file produced by :func:`save_model`.
 
-    Rejects version mismatches, truncation, checksum failures, defective
-    weights and positive weights below MIN_LOAD_WEIGHT outright; a
-    normalization deviation beyond 1e-6 only warns, since slightly stale
-    weights are still usable.
+    Rejects version mismatches, truncation, checksum failures and every
+    :func:`~ldfm.model.weight_violations` defect outright; a normalization
+    deviation beyond 1e-6 only warns, since slightly stale weights are
+    still usable.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"{path}: not a valid model file ({exc})") from None
-    version = doc.get("format_version") if isinstance(doc, dict) else None
-    if version != FORMAT_VERSION:
-        raise ModelFormatError(f"{path}: unsupported format_version {version!r}")
+    doc = _read_document(path, "model")
     payload = doc.get("payload")
     if payload is None or "checksum" not in doc:
         raise ModelFormatError(f"{path}: missing payload or checksum")
@@ -325,12 +294,11 @@ def load_model(path) -> LdfmModel:
     except ModelFormatError:
         raise
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        detail = f"{type(exc).__name__}: {exc}"
-        raise ModelFormatError(f"{path}: malformed payload ({detail})") from None
-    defects = weight_violations(model) or _tiny_weights(model)
+        raise ModelFormatError(f"{path}: malformed payload ({type(exc).__name__}: {exc})") from None
+    defects = weight_violations(model)
     if defects:
         raise ModelFormatError(f"{path}: {'; '.join(defects)}")
-    deviations = validate_model(model, LOAD_NORMALIZATION_WARN)
+    deviations = _normalization_findings(model, LOAD_NORMALIZATION_WARN)
     if deviations:
         warnings.warn(
             f"{path}: loaded weights deviate from normalization in {len(deviations)} "
@@ -405,14 +373,8 @@ def forward_sample(net: GroundTruthNet, count: int, seed) -> Dataset:
     cards = schema.cards
     rows = np.zeros((count, schema.n), dtype=np.int64)
     for i in net.topo_order():
-        ps = net.parents[i]
-        if ps:
-            radix = np.ones(len(ps), dtype=np.int64)
-            for k in range(len(ps) - 2, -1, -1):
-                radix[k] = radix[k + 1] * cards[ps[k + 1]]
-            config = (rows[:, list(ps)] * radix[None, :]).sum(axis=1)
-        else:
-            config = np.zeros(count, dtype=np.int64)
+        ps = list(net.parents[i])
+        config = np.ravel_multi_index(rows[:, ps].T, cards[ps]) if ps else np.zeros(count, np.intp)
         cum = np.cumsum(net.cpts[i][config], axis=1)
         u = rng.random(count)
         rows[:, i] = np.argmax(u[:, None] < cum, axis=1)

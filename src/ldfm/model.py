@@ -282,7 +282,9 @@ def make_uniform_model(schema: VariableSchema, variant: Variant = Variant.PLAIN)
 
 def weight_violations(model: LdfmModel) -> list[str]:
     """Defects no tolerance excuses: non-finite or negative weights, and a
-    nonzero weight for a same-variable target."""
+    nonzero weight for a same-variable target; failing those, the first
+    positive dep weight and the first positive stop weight below
+    MIN_LOAD_WEIGHT, each named by its cell."""
     schema = model.schema
     tables = [("dep", model.dep)] + ([("stop", model.stop)] if model.stop is not None else [])
     violations = [
@@ -297,31 +299,43 @@ def weight_violations(model: LdfmModel) -> list[str]:
     for name, t in tables:
         for row in np.unique(np.nonzero(t < 0.0)[0]):
             violations.append(f"{schema.describe_row(row)}: {name} weight outside [0, 1]")
+    if violations:
+        return violations
+    for name, t in tables:
+        tiny = np.argwhere((t > 0.0) & (t < MIN_LOAD_WEIGHT))
+        if tiny.size:
+            cell = tuple(tiny[0])
+            target = f" -> {schema.describe_row(1 + cell[1])}" if name == "dep" else ""
+            violations.append(
+                f"{schema.describe_row(cell[0])}{target}: {name} weight {t[cell]:.6g} "
+                f"is below the smallest loadable weight {MIN_LOAD_WEIGHT:g}"
+            )
     return violations
 
 
 def validate_model(model: LdfmModel, tol: float = 1e-9) -> list[str]:
-    """Check weight ranges and per-source normalization; return violations.
+    """Every :func:`weight_violations` defect, then every normalization
+    finding beyond ``tol``; an empty list means the model is valid."""
+    return weight_violations(model) + _normalization_findings(model, tol)
 
-    An empty list means the model is valid within ``tol``.  Source rows with
-    no legal target (possible only for single-variable plain models) are
-    exempt from the normalization check.
-    """
+
+def _normalization_findings(model: LdfmModel, tol: float) -> list[str]:
+    """Weights above 1 + ``tol``, and source rows whose outgoing weights
+    (plus stop weight) miss 1 by more than ``tol``.  Rows with no legal
+    target (possible only for single-variable plain models) are exempt."""
     schema = model.schema
-    violations = weight_violations(model)
-    dep = model.dep
-    for row in np.unique(np.nonzero(dep > 1.0 + tol)[0]):
-        violations.append(f"{schema.describe_row(row)}: dep weight outside [0, 1]")
-    totals = dep.sum(axis=1)
-    rows_to_check = np.nonzero(schema.target_counts > 0)[0]
-    if model.variant is Variant.STOP_AUGMENTED:
-        for row in np.nonzero(model.stop > 1.0 + tol)[0]:
-            violations.append(f"{schema.describe_row(row)}: stop weight outside [0, 1]")
-        totals = totals + model.stop
-        rows_to_check = np.arange(dep.shape[0])
-    off = np.abs(totals[rows_to_check] - 1.0) > tol
-    for row in rows_to_check[off]:
-        violations.append(
+    tables = [("dep", model.dep)] + ([("stop", model.stop)] if model.stop is not None else [])
+    found = [
+        f"{schema.describe_row(row)}: {name} weight outside [0, 1]"
+        for name, t in tables
+        for row in np.unique(np.nonzero(t > 1.0 + tol)[0])
+    ]
+    totals = model.dep.sum(axis=1)
+    rows = np.nonzero(schema.target_counts > 0)[0]
+    if model.stop is not None:
+        totals, rows = totals + model.stop, np.arange(len(totals))
+    for row in rows[np.abs(totals[rows] - 1.0) > tol]:
+        found.append(
             f"{schema.describe_row(row)}: outgoing weights sum to {totals[row]:.12g}, expected 1"
         )
-    return violations
+    return found

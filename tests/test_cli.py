@@ -92,6 +92,37 @@ def test_check_rejects_out_of_range_n_and_trials(capsys, flags, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_gen_data_rejects_fewer_than_one_sample(tmp_path, capsys, samples):
+    # zero rows would write a header-only file that train and eval reject
+    out = tmp_path / "d.csv"
+    code, _, err = run(capsys, "gen-data", "--n", "8", "--samples", samples, "--out", str(out),
+                       "--seed", "1")
+    assert code == 2
+    assert f"--samples must be at least 1, got {samples}" in err
+    assert not out.exists()
+
+
+SEEDED_COMMANDS = {
+    "eval": ("--model", "m.model", "--data", "d.csv"),
+    "query": ("--model", "m.model", "--query", "A=T"),
+    "sample": ("--model", "m.model", "--out", "s.csv"),
+    "gen-data": ("--n", "8", "--out", "d.csv"),
+    "check": ("--n", "3"),
+}
+
+
+@pytest.mark.parametrize("command", SEEDED_COMMANDS)
+def test_negative_seed_exits_two_and_names_the_flag(tmp_path, monkeypatch, capsys, command):
+    # the seed is checked before any file is read or written
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, command, *SEEDED_COMMANDS[command], "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert "--seed must be at least 0, got -1" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_gen_data_writes_rows_and_sidecar(tmp_path, capsys):
     data = tmp_path / "d.csv"
     schema = tmp_path / "s.json"

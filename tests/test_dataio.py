@@ -145,6 +145,29 @@ def test_schema_version_mismatch(tmp_path):
         load_schema(p)
 
 
+LOADERS = {"schema": load_schema, "model": load_model}
+
+
+@pytest.mark.parametrize("kind", LOADERS)
+def test_invalid_json_names_the_file_kind(tmp_path, kind):
+    p = tmp_path / "f.json"
+    write(p, '{"format_version": 1,')
+    with pytest.raises(ModelFormatError) as info:
+        LOADERS[kind](p)
+    assert str(info.value).startswith(f"{p}: not a valid {kind} file (Expecting")
+
+
+@pytest.mark.parametrize("kind", LOADERS)
+@pytest.mark.parametrize("doc", ['{"format_version": 2}', '{"format_version": "1"}', "{}", "7"])
+def test_unsupported_format_version_reads_the_same_for_both_file_kinds(tmp_path, kind, doc):
+    p = tmp_path / "f.json"
+    write(p, doc)
+    version = json.loads(doc).get("format_version") if doc.startswith("{") else None
+    with pytest.raises(ModelFormatError) as info:
+        LOADERS[kind](p)
+    assert str(info.value) == f"{p}: unsupported format_version {version!r}"
+
+
 @pytest.mark.parametrize("variant", [Variant.PLAIN, Variant.STOP_AUGMENTED])
 def test_model_round_trip_is_bit_exact(tmp_path, variant):
     rng = np.random.default_rng(101)
@@ -367,6 +390,17 @@ def test_model_stop_weight_below_the_load_bound_rejected(tmp_path):
     rewrite_payload(p, lambda pl: pl["stop_weights"]["B"].update(F=1e-20))
     with pytest.raises(ModelFormatError, match="B=F: stop weight 1e-20 is below"):
         load_model(p)
+
+
+def test_model_with_a_negative_and_a_tiny_weight_names_only_the_negative(tmp_path):
+    p = saved_uniform(tmp_path)
+    rewrite_payload(p, lambda pl: (
+        pl["root_weights"]["A"].update(T=-0.25, F=0.75),
+        pl["weights"]["A"]["T"]["B"].update(T=1e-20, F=1.0 - 1e-20),
+    ))
+    with pytest.raises(ModelFormatError) as info:
+        load_model(p)
+    assert str(info.value) == f"{p}: root: dep weight outside [0, 1]"
 
 
 def test_model_missing_entry_rejected(tmp_path):

@@ -7,12 +7,14 @@ from ldfm.dataio import Dataset
 from ldfm.learning import TrainConfig, train_em
 from ldfm.matrix_tree import unnormalized_log_joint_many
 from ldfm.model import (
+    MIN_LOAD_WEIGHT,
     MISSING,
     LdfmModel,
     Variant,
     VariableSchema,
     make_uniform_model,
     validate_model,
+    weight_violations,
 )
 from ldfm.oracle import brute_unnormalized_joint
 
@@ -136,6 +138,46 @@ def test_validate_flags_negative_weight(two_binary_schema):
     dep[0, 1] = 0.75
     bad = LdfmModel(two_binary_schema, Variant.PLAIN, dep)
     assert any("outside [0, 1]" in v for v in validate_model(bad, 1e-9))
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_validate_reports_a_weight_below_the_load_bound(two_binary_schema, variant):
+    # load_model rejects such a model, so validate_model must not pass it
+    base = make_uniform_model(two_binary_schema, variant)
+    dep = base.dep.copy()
+    row, col = 1 + two_binary_schema.col_of(0, 0), two_binary_schema.col_of(1, 1)
+    dep[row, col] = 1e-20
+    dep[row, col - 1] += base.dep[row, col] - 1e-20
+    tiny = LdfmModel(two_binary_schema, variant, dep, base.stop)
+    expected = (
+        f"X1=T -> X2=F: dep weight 1e-20 is below the smallest loadable weight {MIN_LOAD_WEIGHT:g}"
+    )
+    assert validate_model(tiny, 1e-9) == [expected]
+    assert weight_violations(tiny) == [expected]
+
+
+def test_validate_reports_the_first_tiny_dep_and_stop_weights(two_binary_schema):
+    base = make_uniform_model(two_binary_schema, Variant.STOP_AUGMENTED)
+    dep, stop = base.dep.copy(), base.stop.copy()
+    dep[0, 1] = dep[0, 3] = 3e-13  # two tiny dep cells: only the first is named
+    stop[2] = 1e-15
+    found = weight_violations(LdfmModel(two_binary_schema, Variant.STOP_AUGMENTED, dep, stop))
+    assert [v.split(" is below")[0] for v in found] == [
+        "root -> X1=F: dep weight 3e-13",
+        "X1=F: stop weight 1e-15",
+    ]
+
+
+def test_a_weight_defect_hides_the_tiny_weights(two_binary_schema):
+    # as load_model has always done, the load bound is reported only when
+    # no other weight defect is
+    base = make_uniform_model(two_binary_schema)
+    dep = base.dep.copy()
+    dep[0, 0], dep[0, 1] = -0.25, 0.75  # a negative root weight; the row still sums to 1
+    dep[1, 3] = 1e-20  # tiny X1=T -> X2=F weight
+    bad = LdfmModel(two_binary_schema, Variant.PLAIN, dep)
+    assert weight_violations(bad) == ["root: dep weight outside [0, 1]"]
+    assert not any("below the smallest loadable weight" in v for v in validate_model(bad, 1e-9))
 
 
 def test_validate_rejects_saturated_stop_weights(two_binary_schema):
