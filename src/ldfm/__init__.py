@@ -53,13 +53,6 @@ from .model import (
     make_uniform_model,
     validate_model,
 )
-from .oracle import (
-    brute_partition_and_posteriors,
-    brute_unnormalized_joint,
-    brute_valid_normalizer,
-    enumerate_rooted_trees,
-    exact_conditional,
-)
 from .sampling import (
     QueryInstance,
     SamplerConfig,
@@ -88,17 +81,12 @@ __all__ = [
     "TrainConfig",
     "VariableSchema",
     "Variant",
-    "brute_partition_and_posteriors",
-    "brute_unnormalized_joint",
-    "brute_valid_normalizer",
     "data_log_likelihood",
     "e_step",
-    "enumerate_rooted_trees",
     "estimate_cll",
     "estimate_cmll",
     "evaluate",
     "evaluate_baseline",
-    "exact_conditional",
     "fit_independence_baseline",
     "fixture_net",
     "format_report",

@@ -52,6 +52,26 @@ class EvalReport:
     seconds_infer: float = 0.0
 
 
+def _report(
+    per_cll, per_cmll, q_frac: float, e_frac: float, seconds_infer: float = 0.0
+) -> EvalReport:
+    """The report of per-instance CLL and CMLL values: their per-instance
+    maximum and the mean of each of the three."""
+    per_max = tuple(max(a, b) for a, b in zip(per_cll, per_cmll))
+    return EvalReport(
+        instances=len(per_cll),
+        q_frac=q_frac,
+        e_frac=e_frac,
+        per_cll=tuple(per_cll),
+        per_cmll=tuple(per_cmll),
+        per_max=per_max,
+        mean_cll=float(np.mean(per_cll)),
+        mean_cmll=float(np.mean(per_cmll)),
+        mean_max=float(np.mean(per_max)),
+        seconds_infer=seconds_infer,
+    )
+
+
 def _round_half_up(x: float) -> int:
     return int(np.floor(x + 0.5))
 
@@ -120,20 +140,7 @@ def evaluate(
             per_cmll.append(estimate_cmll(samples, instance, cards, normalize=True))
         del draws, samples  # free this block's draws before the next block allocates its own
     seconds_infer = time.perf_counter() - t0
-
-    per_max = tuple(max(a, b) for a, b in zip(per_cll, per_cmll))
-    return EvalReport(
-        instances=len(instances),
-        q_frac=q_frac,
-        e_frac=e_frac,
-        per_cll=tuple(per_cll),
-        per_cmll=tuple(per_cmll),
-        per_max=per_max,
-        mean_cll=float(np.mean(per_cll)),
-        mean_cmll=float(np.mean(per_cmll)),
-        mean_max=float(np.mean(per_max)),
-        seconds_infer=seconds_infer,
-    )
+    return _report(per_cll, per_cmll, q_frac, e_frac, seconds_infer=seconds_infer)
 
 
 def format_report(report: EvalReport) -> str:
@@ -173,33 +180,17 @@ def fit_independence_baseline(dataset: Dataset) -> IndependenceBaseline:
     return IndependenceBaseline(schema, tuple(margs))
 
 
-def baseline_query_logprob(baseline: IndependenceBaseline, instance: QueryInstance) -> float:
-    """Log probability of the query values; evidence is ignored by construction."""
-    return float(
-        sum(baseline.log_marginals[v][instance.query[v]] for v in instance.query_vars)
-    )
-
-
 def evaluate_baseline(
     baseline: IndependenceBaseline,
     instances: list[QueryInstance],
     q_frac: float,
     e_frac: float,
 ) -> EvalReport:
-    """Closed-form report: under independence the CLL and CMLL coincide."""
-    per = []
-    for instance in instances:
-        per.append(baseline_query_logprob(baseline, instance) / instance.query_vars.size)
-    per_t = tuple(per)
-    mean = float(np.mean(per_t))
-    return EvalReport(
-        instances=len(instances),
-        q_frac=q_frac,
-        e_frac=e_frac,
-        per_cll=per_t,
-        per_cmll=per_t,
-        per_max=per_t,
-        mean_cll=mean,
-        mean_cmll=mean,
-        mean_max=mean,
-    )
+    """Closed-form report from the log probability of each instance's query
+    values; evidence is ignored, so the CLL and CMLL coincide."""
+    per = [
+        float(sum(baseline.log_marginals[v][inst.query[v]] for v in inst.query_vars))
+        / inst.query_vars.size
+        for inst in instances
+    ]
+    return _report(per, per, q_frac, e_frac)

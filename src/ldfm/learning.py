@@ -30,6 +30,7 @@ from .model import (
     LdfmModel,
     Variant,
     VariableSchema,
+    check_weights,
     make_uniform_model,
 )
 
@@ -106,13 +107,6 @@ class TraceEntry(NamedTuple):
         return self.loglik + self.prior
 
 
-def _as_sample_matrix(data, schema: VariableSchema) -> np.ndarray:
-    xs = schema.check_assignments(data)
-    if xs.shape[0] == 0:
-        raise ValueError("data must contain at least one sample")
-    return xs
-
-
 class _DistinctRows(NamedTuple):
     """Checked samples counted once: the distinct rows in order of first
     appearance, how often each occurs, and the sample index where each
@@ -137,7 +131,10 @@ def _counted(data, schema: VariableSchema) -> _DistinctRows:
     """``data`` checked and counted, unless it already is."""
     if isinstance(data, _DistinctRows):
         return data
-    return _distinct_rows(_as_sample_matrix(data, schema))
+    xs = schema.check_assignments(data)
+    if xs.shape[0] == 0:
+        raise ValueError("data must contain at least one sample")
+    return _distinct_rows(xs)
 
 
 def _chunk_stats(model: LdfmModel, xs: np.ndarray, counts: np.ndarray) -> SufficientStats:
@@ -187,7 +184,9 @@ def e_step(model: LdfmModel, data, workers: int | None = None) -> SufficientStat
     """Edge-posterior statistics and log-likelihood over complete samples,
     one pass per distinct sample weighted by its count; identical for any
     worker count.  ``data`` may also be the samples already counted by
-    :func:`train_em`."""
+    :func:`train_em`.  A model with a :func:`~ldfm.model.weight_violations`
+    defect raises ValueError."""
+    check_weights(model)
     parts = _map_chunks(partial(_chunk_stats, model), _counted(data, model.schema), workers)
     return sum(parts[1:], parts[0])
 
@@ -199,7 +198,8 @@ def _chunk_loglik(model: LdfmModel, xs: np.ndarray, counts: np.ndarray) -> float
 
 def data_log_likelihood(model: LdfmModel, data) -> float:
     """Sum over samples of the log unnormalized joint weight; ``data`` may
-    also be already counted, as for :func:`e_step`."""
+    also be already counted, and a bad model raises, as for :func:`e_step`."""
+    check_weights(model)
     return sum(_map_chunks(partial(_chunk_loglik, model), _counted(data, model.schema), None))
 
 

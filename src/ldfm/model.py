@@ -313,6 +313,14 @@ def weight_violations(model: LdfmModel) -> list[str]:
     return violations
 
 
+def check_weights(model: LdfmModel) -> None:
+    """Raise ValueError listing every :func:`weight_violations` defect, so
+    that a scoring or sampling call rejects a bad model before any work."""
+    defects = weight_violations(model)
+    if defects:
+        raise ValueError(f"model weights are invalid: {'; '.join(defects)}")
+
+
 def validate_model(model: LdfmModel, tol: float = 1e-9) -> list[str]:
     """Every :func:`weight_violations` defect, then every normalization
     finding beyond ``tol``; an empty list means the model is valid."""

@@ -9,13 +9,15 @@ fixture, not a production path; hard caps keep the blowup honest.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
 
 from .matrix_tree import assignment_matrices
-from .model import MISSING, LdfmModel, Variant
+from .model import MISSING, LdfmModel
+from .sampling import QueryInstance
 
 MAX_TREE_N = 8
 MAX_STATE_SPACE = 4096
@@ -138,11 +140,7 @@ def _log_joint_or_neginf(model: LdfmModel, x: np.ndarray) -> float:
     schema = model.schema
     rows = schema.assignment_rows(schema.check_assignments(x))
     _, tree_logw = _tree_log_weights(assignment_matrices(model, rows)[0])
-    total = logsumexp(tree_logw)
-    if model.variant is Variant.STOP_AUGMENTED:
-        with np.errstate(divide="ignore"):
-            total += float(np.log(model.stop[rows]).sum())
-    return total
+    return logsumexp(tree_logw) + float(model.log_stop[rows].sum())
 
 
 def brute_unnormalized_joint(model: LdfmModel, x: np.ndarray) -> float:
@@ -151,8 +149,6 @@ def brute_unnormalized_joint(model: LdfmModel, x: np.ndarray) -> float:
     Stop-augmented models add the log stop weights of the root and of every
     assigned node to the tree sum.
     """
-    if model.schema.n > MAX_TREE_N:
-        raise ValueError(f"n must be at most {MAX_TREE_N}")
     total = _log_joint_or_neginf(model, x)
     if not np.isfinite(total):
         raise ValueError("zero-probability assignment")
@@ -166,10 +162,7 @@ def _all_assignments(model: LdfmModel) -> Iterator[np.ndarray]:
 
 
 def _check_state_space(model: LdfmModel) -> None:
-    schema = model.schema
-    if schema.n > MAX_TREE_N:
-        raise ValueError(f"n must be at most {MAX_TREE_N}")
-    size = int(np.prod(schema.cards))
+    size = math.prod(model.schema.cards.tolist())  # exact: an int64 product can wrap
     if size > MAX_STATE_SPACE:
         raise ValueError(f"state space {size} exceeds cap {MAX_STATE_SPACE}")
 
@@ -190,18 +183,14 @@ def exact_conditional(
     """P(query | evidence) by summing joints over consistent completions.
 
     ``query`` and ``evidence`` are partial assignments (MISSING marks free
-    entries) over disjoint variable sets; the global normalizer cancels.
+    entries) over disjoint variable sets, checked as a
+    :class:`~ldfm.sampling.QueryInstance` is; the global normalizer cancels.
     """
     _check_state_space(model)
-    query = np.asarray(query, dtype=np.int64)
-    evidence = np.asarray(evidence, dtype=np.int64)
-    n = model.schema.n
-    if query.shape != (n,) or evidence.shape != (n,):
+    instance = QueryInstance(query, evidence)
+    query, evidence = instance.query, instance.evidence
+    if query.shape != (model.schema.n,):
         raise ValueError("query and evidence must be length-n partial assignments")
-    if np.any((query != MISSING) & (evidence != MISSING)):
-        raise ValueError("query and evidence variable sets must be disjoint")
-    if np.all(query == MISSING):
-        raise ValueError("query must set at least one variable")
 
     num_logs = []
     den_logs = []

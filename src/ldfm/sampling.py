@@ -45,7 +45,7 @@ import numpy as np
 
 from . import matrix_tree, rng as rng_mod
 from .matrix_tree import SingularLaplacianError
-from .model import MISSING, LdfmModel
+from .model import MISSING, LdfmModel, check_weights
 
 
 # Most floats a Gibbs memo stores over both layers, one per row log joint
@@ -98,10 +98,11 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.samples < 1 or self.thin < 1 or self.chains < 1:
-            raise ValueError("samples, thin, and chains must all be >= 1")
+        for name in ("samples", "thin", "chains"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.burn_in is not None and self.burn_in < 0:
-            raise ValueError("burn_in must be nonnegative")
+            raise ValueError(f"burn_in must be at least 0, got {self.burn_in}")
 
 
 def random_parent_vector(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -407,8 +408,10 @@ def run_chains(
     Row i runs ``config.chains`` chains on the streams
     ``chain_rngs(seeds[i], config.chains)``, so its draws do not depend on
     which rows share the call.  Each chain burns in, then records every
-    ``thin``-th state.
+    ``thin``-th state.  A model with a
+    :func:`~ldfm.model.weight_violations` defect raises ValueError first.
     """
+    check_weights(model)
     n = model.schema.n
     evidence = np.asarray(evidence, dtype=np.int64)
     if evidence.ndim != 2 or evidence.shape[1] != n:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ldfm.model import LdfmModel, Variant, VariableSchema
+from ldfm.model import MIN_LOAD_WEIGHT, LdfmModel, Variant, VariableSchema
 
 # Worked 2-node example used across modules: three spanning trees with
 # weights 0.2*0.3 + 0.2*0.4 + 0.3*0.5 = 0.29, edge masses 0.14/0.21/0.08/0.15.
@@ -103,6 +103,25 @@ def random_schema(rng: np.random.Generator, n: int, max_card: int = 3) -> Variab
             for i in range(n)
         )
     )
+
+
+# Every kind of defect weight_violations reports, as (dep cell, value,
+# words of the report): cell (1, 1) is X1=T -> X1=F on a schema whose first
+# variable has two or more values.
+WEIGHT_DEFECTS = {
+    "nan": ((0, 0), np.nan, "dep weights contain non-finite entries"),
+    "inf": ((0, 0), np.inf, "dep weights contain non-finite entries"),
+    "negative": ((0, 0), -0.1, r"root: dep weight outside \[0, 1\]"),
+    "same-variable": ((1, 1), 0.1, "nonzero weight for a same-variable target"),
+    "below-load-bound": ((0, 0), MIN_LOAD_WEIGHT / 10, "below the smallest loadable weight"),
+}
+
+
+def with_dep_weight(model: LdfmModel, cell: tuple, value: float) -> LdfmModel:
+    """``model`` with one dep cell set to ``value``."""
+    dep = model.dep.copy()
+    dep[cell] = value
+    return LdfmModel(model.schema, model.variant, dep, model.stop)
 
 
 def count_method_calls(monkeypatch, cls, name: str) -> list:

@@ -489,6 +489,58 @@ def test_bad_query_binding_exits_two(tmp_path, capsys):
     assert code == 2
 
 
+def two_binary_model_file(tmp_path):
+    path = tmp_path / "m.model"
+    save_model(make_uniform_model(VariableSchema((("X1", ("T", "F")), ("X2", ("T", "F"))))), path)
+    return path
+
+
+@pytest.mark.parametrize(
+    "bindings, bad",
+    [(("--query", "X1"), "X1"), (("--query", "X1=T", "--evidence", "X2=F,X2"), "X2")],
+    ids=["query", "evidence"],
+)
+def test_binding_without_an_equals_sign_exits_two(tmp_path, capsys, bindings, bad):
+    model_path = two_binary_model_file(tmp_path)
+    code, out, err = run(capsys, "query", "--model", str(model_path), *bindings, "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert f"binding {bad!r} is not VAR=VALUE" in err
+
+
+def test_query_without_evidence_estimates_the_marginal(tmp_path, capsys):
+    # on the uniform model every assignment is equally likely
+    model_path = two_binary_model_file(tmp_path)
+    code, out, _ = run(
+        capsys, "query", "--model", str(model_path), "--query", "X1=T",
+        "--samples", "400", "--seed", "3",
+    )
+    assert code == 0
+    assert abs(float(out.split(":")[1]) - 0.5) < 0.1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("sample", "--out", "s.csv", "--samples", "0"), "samples must be at least 1, got 0"),
+        (("eval", "--data", "d.csv", "--chains", "0"), "chains must be at least 1, got 0"),
+        (("query", "--query", "X1=T", "--thin", "0"), "thin must be at least 1, got 0"),
+        (("eval", "--data", "d.csv", "--burn-in", "-1"), "burn_in must be at least 0, got -1"),
+    ],
+    ids=["sample-samples", "eval-chains", "query-thin", "eval-burn-in"],
+)
+def test_sampler_setting_out_of_range_exits_two_naming_it(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    two_binary_model_file(tmp_path)
+    (tmp_path / "d.csv").write_text("X1,X2\nT,F\n")
+    command, *flags = argv
+    code, out, err = run(capsys, command, "--model", "m.model", *flags, "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert message in err
+    assert not (tmp_path / "s.csv").exists()
+
+
 @pytest.mark.parametrize(
     "bindings",
     [("--query", "X1=T,X1=F"), ("--query", "X1=T", "--evidence", "X2=F, X2=T")],

@@ -446,3 +446,45 @@ def test_model_file_that_is_not_a_json_object_rejected(tmp_path):
     with pytest.raises(ModelFormatError, match="format_version") as info:
         load_model(p)
     assert str(p) in str(info.value)
+
+
+def _load_header_only_dataset(tmp_path):
+    # what train reads when no --schema is given
+    write(tmp_path / "d.csv", "A,B\n")
+    load_dataset(tmp_path / "d.csv")
+
+
+def _load_model_file_without(key):
+    def case(tmp_path):
+        p = saved_uniform(tmp_path)
+        doc = json.loads(p.read_text())
+        del doc[key]
+        write(p, json.dumps(doc))
+        load_model(p)
+
+    return case
+
+
+TWO_BINARY = VariableSchema((("A", ("T", "F")), ("B", ("T", "F"))))
+HALVES = np.full((1, 2), 0.5)
+
+
+@pytest.mark.parametrize(
+    "case, error, message",
+    [
+        (_load_header_only_dataset, DatasetFormatError, "has a header but no rows"),
+        (_load_model_file_without("payload"), ModelFormatError, "missing payload or checksum"),
+        (_load_model_file_without("checksum"), ModelFormatError, "missing payload or checksum"),
+        (lambda _: GroundTruthNet(TWO_BINARY, ((),), (HALVES, HALVES)), ValueError,
+         "parents and cpts must cover every variable"),
+        (lambda _: GroundTruthNet(TWO_BINARY, ((), (0,)), (HALVES, HALVES)), ValueError,
+         r"cpt for variable 1 must be \(2, 2\), got \(1, 2\)"),
+        (lambda _: Dataset(TWO_BINARY, np.array([0, 1])), ValueError,
+         r"rows must be \(B, 2\), got \(2,\)"),
+    ],
+    ids=["header-only-csv", "no-payload", "no-checksum", "too-few-parents", "cpt-shape",
+         "one-dimensional-rows"],
+)
+def test_rejection_paths(tmp_path, case, error, message):
+    with pytest.raises(error, match=message):
+        case(tmp_path)

@@ -179,3 +179,17 @@ def test_format_report_exact_fields():
     assert [line.split(":")[0] for line in lines] == list(REPORT_FIELDS)
     assert lines[0] == "instances: 3"
     assert lines[3] == "mean_cll: -0.500000"
+
+
+@pytest.mark.parametrize(
+    "dataset, q_frac, e_frac, message",
+    [
+        (toy_dataset(4), 0.6, 0.5, r"q_frac \+ e_frac <= 1"),
+        (toy_dataset(4), 0.5, -0.1, "nonnegative"),
+        (toy_dataset(4, rows=0), 0.5, 0.2, "dataset has no rows"),
+    ],
+    ids=["fractions-over-one", "negative-fraction", "empty-dataset"],
+)
+def test_make_query_instances_rejects(dataset, q_frac, e_frac, message):
+    with pytest.raises(ValueError, match=message):
+        make_query_instances(dataset, q_frac, e_frac, 3, seed=1)

@@ -31,11 +31,13 @@ from ldfm.model import (
 from ldfm.oracle import brute_partition_and_posteriors
 
 from conftest import (
+    WEIGHT_DEFECTS,
     WORKED_Z,
     count_method_calls,
     model_from_weights,
     random_model,
     random_schema,
+    with_dep_weight,
 )
 
 
@@ -561,3 +563,12 @@ def test_train_em_warns_when_the_objective_falls(caplog):
 def test_m_step_requires_samples(two_binary_schema):
     with pytest.raises(ValueError):
         m_step(SufficientStats.zeros(two_binary_schema), none_config(), two_binary_schema)
+
+
+@pytest.mark.parametrize("score", [e_step, data_log_likelihood])
+@pytest.mark.parametrize("defect", WEIGHT_DEFECTS)
+def test_scoring_rejects_a_model_weight_defect(two_binary_schema, score, defect):
+    cell, value, words = WEIGHT_DEFECTS[defect]
+    model = with_dep_weight(make_uniform_model(two_binary_schema), cell, value)
+    with pytest.raises(ValueError, match=words):
+        score(model, np.array([[0, 0], [1, 0]]))

@@ -258,3 +258,28 @@ def test_edge_cells_index_the_cells_a_2d_gather_reads(seed, n, max_card, batch):
     got = dep.take(schema.edge_cells(rows))
     assert got.shape == (batch, n + 1, n)
     np.testing.assert_array_equal(got, reference)
+
+
+ONE_BINARY = VariableSchema((("A", ("T", "F")),))
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: LdfmModel(ONE_BINARY, Variant.PLAIN, np.zeros((2, 2))), ValueError,
+         r"dep table must have shape \(3, 2\), got \(2, 2\)"),
+        (lambda: LdfmModel(ONE_BINARY, Variant.STOP_AUGMENTED, np.zeros((3, 2)), np.zeros(2)),
+         ValueError, r"stop weights must have shape \(3,\), got \(2,\)"),
+        (lambda: LdfmModel(ONE_BINARY, Variant.STOP_AUGMENTED, np.zeros((3, 2))), ValueError,
+         "stop-augmented model requires stop weights"),
+        (lambda: LdfmModel(ONE_BINARY, Variant.PLAIN, np.zeros((3, 2)), np.zeros(3)), ValueError,
+         "plain model must not carry stop weights"),
+        (lambda: ONE_BINARY.value_index(0, "maybe"), KeyError, "unknown value 'maybe' for variable 'A'"),
+        (lambda: ONE_BINARY.col_of(1, 0), ValueError, "variable index 1 out of range"),
+    ],
+    ids=["dep-shape", "stop-shape", "stop-missing", "stop-on-plain", "unknown-label",
+         "variable-out-of-range"],
+)
+def test_rejection_paths(build, error, message):
+    with pytest.raises(error, match=message):
+        build()

@@ -6,6 +6,7 @@ import pytest
 
 from ldfm.model import MISSING, Variant, make_uniform_model
 from ldfm.oracle import (
+    _check_state_space,
     brute_partition_and_posteriors,
     brute_unnormalized_joint,
     brute_valid_normalizer,
@@ -239,3 +240,57 @@ def test_state_space_cap_enforced():
     model = make_uniform_model(schema)
     with pytest.raises(ValueError):
         brute_valid_normalizer(model)
+
+
+def test_state_space_cap_holds_when_the_int64_product_wraps():
+    # 235^8 is about 9.3e18, which wraps to a negative int64
+    schema = VariableSchema(
+        tuple((f"X{i}", tuple(f"v{j}" for j in range(235))) for i in range(8))
+    )
+    with pytest.raises(ValueError, match=f"state space {235**8} exceeds cap"):
+        _check_state_space(make_uniform_model(schema))
+
+
+NINE_BINARY = make_uniform_model(VariableSchema(tuple((f"X{i}", ("T", "F")) for i in range(9))))
+FIRST_ONLY = np.array([0] + [MISSING] * 8)
+
+
+def _impossible_false_model():
+    # no source gives A=F any weight, so no assignment with A=F has a tree
+    schema = VariableSchema((("A", ("T", "F")), ("B", ("T", "F"))))
+    a_t, b_t, b_f = (0, 0), (1, 0), (1, 1)
+    return model_from_weights(
+        schema,
+        {(None, a_t): 0.5, (None, b_t): 0.25, (None, b_f): 0.25, (b_t, a_t): 1.0,
+         (b_f, a_t): 1.0, (a_t, b_t): 0.5, (a_t, b_f): 0.5},
+    )
+
+
+TWO_UNIFORM = make_uniform_model(VariableSchema((("A", ("T", "F")), ("B", ("T", "F")))))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: brute_unnormalized_joint(NINE_BINARY, np.zeros(9)), r"n must be in \[1, 8\], got 9"),
+        (lambda: brute_valid_normalizer(NINE_BINARY), r"n must be in \[1, 8\], got 9"),
+        (lambda: exact_conditional(NINE_BINARY, FIRST_ONLY, np.full(9, MISSING)),
+         r"n must be in \[1, 8\], got 9"),
+        (lambda: brute_unnormalized_joint(_impossible_false_model(), np.array([1, 0])),
+         "zero-probability assignment"),
+        (lambda: brute_valid_normalizer(
+            model_from_weights(VariableSchema((("A", ("T", "F")),)), {})),
+         "model assigns zero weight to every assignment"),
+        (lambda: exact_conditional(TWO_UNIFORM, np.array([0, MISSING, MISSING]),
+                                   np.full(3, MISSING)),
+         "length-n partial assignments"),
+        (lambda: exact_conditional(_impossible_false_model(), np.array([MISSING, 0]),
+                                   np.array([1, MISSING])),
+         "evidence has zero probability"),
+    ],
+    ids=["joint-n9", "normalizer-n9", "conditional-n9", "zero-weight-assignment",
+         "all-zero-model", "conditional-length", "impossible-evidence"],
+)
+def test_rejection_paths(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -19,3 +19,17 @@ def test_kernels_and_run_chain_stay_private_to_the_engine():
     for name in ("gibbs_sweep", "tree_augmented_step", "run_chain"):
         assert name not in ldfm.__all__ and not hasattr(ldfm, name)
         assert callable(getattr(sampling, name))
+
+
+def test_oracle_stays_off_the_top_level():
+    from ldfm import oracle
+
+    for name in (
+        "brute_partition_and_posteriors",
+        "brute_unnormalized_joint",
+        "brute_valid_normalizer",
+        "enumerate_rooted_trees",
+        "exact_conditional",
+    ):
+        assert name not in ldfm.__all__ and not hasattr(ldfm, name)
+        assert callable(getattr(oracle, name))

@@ -36,7 +36,7 @@ from ldfm.sampling import (
     tree_augmented_step,
 )
 
-from conftest import model_from_weights, random_model, random_schema
+from conftest import WEIGHT_DEFECTS, model_from_weights, random_model, random_schema, with_dep_weight
 
 
 def instance_all_hidden(n: int, query_var: int = 0, query_val: int = 0) -> QueryInstance:
@@ -57,13 +57,25 @@ def test_query_instance_partition(two_binary_schema):
         QueryInstance(query=np.full(2, MISSING), evidence=np.array([1, MISSING]))
 
 
+@pytest.mark.parametrize(
+    "query, evidence",
+    [([0, MISSING], [MISSING]), ([[0, MISSING]], [[MISSING, 1]])],
+    ids=["unequal-lengths", "two-dimensional"],
+)
+def test_query_instance_rejects_a_bad_shape(query, evidence):
+    with pytest.raises(ValueError, match="equal-length vectors"):
+        QueryInstance(query=np.array(query), evidence=np.array(evidence))
+
+
 def test_sampler_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="samples must be at least 1, got 0"):
         SamplerConfig(samples=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="thin must be at least 1, got 0"):
         SamplerConfig(thin=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="chains must be at least 1, got 0"):
         SamplerConfig(chains=0)
+    with pytest.raises(ValueError, match="burn_in must be at least 0, got -1"):
+        SamplerConfig(burn_in=-1)
 
 
 def test_random_parent_vector_is_always_a_tree():
@@ -792,6 +804,17 @@ def test_run_chains_rejects_evidence_value_out_of_range(two_binary_schema, kind,
     config = SamplerConfig(sampler=kind, samples=3, burn_in=1)
     with pytest.raises(ValueError, match="evidence value index out of range"):
         run_chains(model, np.array([[MISSING, bad]]), config, [0])
+
+
+@pytest.mark.parametrize("kind", list(SamplerKind))
+@pytest.mark.parametrize("defect", WEIGHT_DEFECTS)
+def test_run_chains_rejects_a_model_weight_defect(two_binary_schema, kind, defect):
+    # a NaN weight used to pass through Gibbs with only a numpy warning
+    cell, value, words = WEIGHT_DEFECTS[defect]
+    model = with_dep_weight(make_uniform_model(two_binary_schema), cell, value)
+    config = SamplerConfig(sampler=kind, samples=3, burn_in=1)
+    with pytest.raises(ValueError, match=words):
+        run_chains(model, np.full((1, 2), MISSING), config, [0])
 
 
 def test_run_chains_rejects_schema_mismatch(two_binary_schema):
