@@ -322,7 +322,10 @@ def dispatch(argv: list[str]) -> int:
     except (SingularLaplacianError, NumericConsistencyError) as exc:
         sys.stderr.write(f"numeric failure: {exc}\n")
         return 3
-    except (DatasetFormatError, ModelFormatError, OSError, KeyError, ValueError) as exc:
+    except KeyError as exc:  # str() would quote the message
+        sys.stderr.write(f"error: {exc.args[0]}\n")
+        return 2
+    except (DatasetFormatError, ModelFormatError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

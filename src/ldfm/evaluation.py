@@ -21,16 +21,18 @@ from .model import MISSING, LdfmModel, VariableSchema
 from .rng import make_rng
 from .sampling import QueryInstance, SamplerConfig, estimate_cll, estimate_cmll, run_chains
 
-REPORT_FIELDS = (
-    "instances",
-    "q_frac",
-    "e_frac",
-    "mean_cll",
-    "mean_cmll",
-    "mean_max",
-    "seconds_train",
-    "seconds_infer",
-)
+# Each report line's field and its format spec, in print order.
+_REPORT_FORMATS = {
+    "instances": "d",
+    "q_frac": "g",
+    "e_frac": "g",
+    "mean_cll": ".6f",
+    "mean_cmll": ".6f",
+    "mean_max": ".6f",
+    "seconds_train": ".3f",
+    "seconds_infer": ".3f",
+}
+REPORT_FIELDS = tuple(_REPORT_FORMATS)
 
 # Chains per engine call in ``evaluate``: caps draw memory at
 # EVAL_BLOCK * samples * n int64 values however many instances there are.
@@ -39,37 +41,43 @@ EVAL_BLOCK = 64
 
 @dataclass(frozen=True)
 class EvalReport:
-    instances: int
+    """Per-instance CLL and CMLL values, as tuples; the count, maximum and
+    means derive from them.  ``seconds_train`` reads 0.0: evaluation fits no model."""
+
     q_frac: float
     e_frac: float
     per_cll: tuple[float, ...]
     per_cmll: tuple[float, ...]
-    per_max: tuple[float, ...]
-    mean_cll: float
-    mean_cmll: float
-    mean_max: float
-    seconds_train: float = 0.0
     seconds_infer: float = 0.0
+    seconds_train = 0.0
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "per_cll", tuple(self.per_cll))
+        object.__setattr__(self, "per_cmll", tuple(self.per_cmll))
+        if not self.per_cll:
+            raise ValueError("a report needs at least one instance, got 0")
+        if len(self.per_cll) != len(self.per_cmll):
+            raise ValueError(f"got {len(self.per_cll)} CLL and {len(self.per_cmll)} CMLL values")
 
-def _report(
-    per_cll, per_cmll, q_frac: float, e_frac: float, seconds_infer: float = 0.0
-) -> EvalReport:
-    """The report of per-instance CLL and CMLL values: their per-instance
-    maximum and the mean of each of the three."""
-    per_max = tuple(max(a, b) for a, b in zip(per_cll, per_cmll))
-    return EvalReport(
-        instances=len(per_cll),
-        q_frac=q_frac,
-        e_frac=e_frac,
-        per_cll=tuple(per_cll),
-        per_cmll=tuple(per_cmll),
-        per_max=per_max,
-        mean_cll=float(np.mean(per_cll)),
-        mean_cmll=float(np.mean(per_cmll)),
-        mean_max=float(np.mean(per_max)),
-        seconds_infer=seconds_infer,
-    )
+    @property
+    def instances(self) -> int:
+        return len(self.per_cll)
+
+    @property
+    def per_max(self) -> tuple[float, ...]:
+        return tuple(max(a, b) for a, b in zip(self.per_cll, self.per_cmll))
+
+    @property
+    def mean_cll(self) -> float:
+        return float(np.mean(self.per_cll))
+
+    @property
+    def mean_cmll(self) -> float:
+        return float(np.mean(self.per_cmll))
+
+    @property
+    def mean_max(self) -> float:
+        return float(np.mean(self.per_max))
 
 
 def _round_half_up(x: float) -> int:
@@ -139,22 +147,13 @@ def evaluate(
             per_cll.append(estimate_cll(samples, instance, normalize=True))
             per_cmll.append(estimate_cmll(samples, instance, cards, normalize=True))
         del draws, samples  # free this block's draws before the next block allocates its own
-    seconds_infer = time.perf_counter() - t0
-    return _report(per_cll, per_cmll, q_frac, e_frac, seconds_infer=seconds_infer)
+    return EvalReport(q_frac, e_frac, per_cll, per_cmll, time.perf_counter() - t0)
 
 
 def format_report(report: EvalReport) -> str:
-    values = {
-        "instances": str(report.instances),
-        "q_frac": f"{report.q_frac:g}",
-        "e_frac": f"{report.e_frac:g}",
-        "mean_cll": f"{report.mean_cll:.6f}",
-        "mean_cmll": f"{report.mean_cmll:.6f}",
-        "mean_max": f"{report.mean_max:.6f}",
-        "seconds_train": f"{report.seconds_train:.3f}",
-        "seconds_infer": f"{report.seconds_infer:.3f}",
-    }
-    return "\n".join(f"{name}: {values[name]}" for name in REPORT_FIELDS) + "\n"
+    return "".join(
+        f"{name}: {getattr(report, name):{spec}}\n" for name, spec in _REPORT_FORMATS.items()
+    )
 
 
 # -- independence baseline ----------------------------------------------------
@@ -193,4 +192,4 @@ def evaluate_baseline(
         / inst.query_vars.size
         for inst in instances
     ]
-    return _report(per, per, q_frac, e_frac)
+    return EvalReport(q_frac, e_frac, per, per)

@@ -60,12 +60,14 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        # NaN fails every comparison, so finiteness is checked first
-        if not all(map(math.isfinite, (self.eps, self.kappa, self.rel_tol))):
-            raise ValueError("eps, kappa and rel_tol must be finite")
-        if self.eps < 0 or self.kappa < 0:
-            raise ValueError("smoothing hyperparameters must be nonnegative")
+            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
+        for name in ("eps", "kappa", "rel_tol"):
+            value = getattr(self, name)
+            # NaN fails every comparison, so finiteness is checked first
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if name != "rel_tol" and value < 0:
+                raise ValueError(f"{name} must be at least 0, got {value}")
 
 
 @dataclass

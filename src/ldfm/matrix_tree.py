@@ -112,8 +112,11 @@ def log_partition_many(
     """Log total spanning-tree weight for stacked (B, n+1, n) edge tables.
 
     ``on_singular`` is either "raise" (default) or "neginf", which maps
-    singular items to -inf so callers can treat them as zero weight.
+    singular items to -inf so callers can treat them as zero weight; any
+    other value raises ValueError.
     """
+    if on_singular not in ("raise", "neginf"):
+        raise ValueError(f"on_singular must be 'raise' or 'neginf', got {on_singular!r}")
     logz, ok, _, _ = _log_det_scaled(_root_minors(weights)[1])
     if on_singular == "neginf":
         return np.where(ok, logz, -np.inf)

@@ -321,10 +321,10 @@ def check_weights(model: LdfmModel) -> None:
         raise ValueError(f"model weights are invalid: {'; '.join(defects)}")
 
 
-def validate_model(model: LdfmModel, tol: float = 1e-9) -> list[str]:
+def validate_model(model: LdfmModel) -> list[str]:
     """Every :func:`weight_violations` defect, then every normalization
-    finding beyond ``tol``; an empty list means the model is valid."""
-    return weight_violations(model) + _normalization_findings(model, tol)
+    finding beyond 1e-9; an empty list means the model is valid."""
+    return weight_violations(model) + _normalization_findings(model, 1e-9)
 
 
 def _normalization_findings(model: LdfmModel, tol: float) -> list[str]:

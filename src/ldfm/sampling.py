@@ -161,6 +161,11 @@ def _make_room(memo: dict, cards: list, floats: int) -> bool:
     return True
 
 
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """Each row of the C-contiguous (R, n) ``rows`` as one np.void: its memo key."""
+    return rows.view(f"V{rows.itemsize * rows.shape[1]}").ravel()  # faster than an np.dtype call
+
+
 def _memo_log_joints(
     model: LdfmModel, candidates: np.ndarray, memo: dict
 ) -> tuple[np.ndarray, int]:
@@ -174,8 +179,7 @@ def _memo_log_joints(
     is scored without being stored.  Exact because a row's log joint does
     not depend on the rows scored with it.
     """
-    row_bytes = np.dtype((np.void, candidates.itemsize * candidates.shape[1]))
-    keys = candidates.view(row_bytes).ravel().tolist()
+    keys = _row_keys(candidates).tolist()
     new = {key: row for row, key in enumerate(keys) if key not in memo}
     if _make_room(memo, model.schema.cards.tolist(), len(new)):
         new = dict(zip(keys, range(len(keys))))
@@ -239,7 +243,7 @@ def _free_completions(
     return completions, owner, place
 
 
-def _start_memo(model: LdfmModel, evidence: np.ndarray) -> dict:
+def _start_memo(model: LdfmModel, evidence: np.ndarray, dtype: np.dtype) -> dict:
     """The Gibbs memo a ``run_chains`` call on the (I, n) ``evidence`` starts
     with: its complete conditional layer when that fits, else empty.
 
@@ -252,8 +256,8 @@ def _start_memo(model: LdfmModel, evidence: np.ndarray) -> dict:
     row's log joint need be kept.  A context whose candidates all score
     -inf is not stored: a chain that reaches it scores its rows through
     ``_fill_conditionals`` and raises, as it would with an empty memo.
-    Keys and values are those the lazy path stores, with the same bits, so
-    draws do not change.
+    Keys (rows of ``dtype``, the chains' row type) and values are those the
+    lazy path stores, with the same bits, so draws do not change.
     """
     cards = model.schema.cards
     evidence = np.unique(evidence, axis=0)
@@ -262,10 +266,9 @@ def _start_memo(model: LdfmModel, evidence: np.ndarray) -> dict:
     sizes = np.where(free, cards, 1).prod(axis=1, dtype=np.float64)  # no overflow
     if float(sizes @ free.sum(axis=1)) > MEMO_CAP:
         return {}
-    narrow = np.min_scalar_type(int(cards.max()) - 1)  # the keys gibbs_sweep builds
     completions, owner, place = _free_completions(evidence, cards)
-    completions = completions.astype(narrow)
-    keys = completions.view(np.dtype((np.void, narrow.itemsize * model.schema.n))).ravel()
+    completions = completions.astype(dtype)
+    keys = _row_keys(completions)
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     log_joints = matrix_tree.unnormalized_log_joint_many(
         model, completions[first], on_singular="neginf"
@@ -293,19 +296,15 @@ def gibbs_sweep(
     ``values`` and ``pinned`` are (C, n); chain c draws from ``rngs[c]``,
     taking the uniforms of all its free variables in one ``random(k)`` call
     at the start of the sweep.  ``memo`` holds both memo layers:
-    ``memo[var]`` maps a context (a chain's row with var's slot blanked, as
-    bytes) to var's normalised conditional CDF, and every other key is a
-    candidate row's bytes mapped to its log joint.  A chain whose context
-    is stored draws by bisecting that CDF; the distinct missed contexts
-    score only the candidate rows the memo lacks, in one batched call, and
-    are stored if they had all been seen before (see
+    ``memo[var]`` maps a context (a chain's row in ``values``' dtype with
+    var's slot blanked, as bytes) to var's normalised conditional CDF, and
+    every other key is a candidate row's bytes mapped to its log joint.  A
+    chain whose context is stored draws by bisecting that CDF; the distinct
+    missed contexts score only the candidate rows the memo lacks, in one
+    batched call, and are stored if they had all been seen before (see
     ``_fill_conditionals``).  The two layers together hold at most
     MEMO_CAP floats.  ``run_chains`` passes one memo for all its sweeps.
     """
-    # rows in the narrowest type that holds every value index, so the memo's
-    # keys (their bytes) are short
-    narrow = np.min_scalar_type(int(model.schema.cards.max()) - 1)
-    row_bytes = np.dtype((np.void, narrow.itemsize * model.schema.n))
     free_mask = ~pinned
     uniforms = np.zeros(values.shape)
     uniforms[free_mask] = np.concatenate(
@@ -315,9 +314,9 @@ def gibbs_sweep(
         free = np.nonzero(free_mask[:, var])[0]
         if free.size == 0:
             continue
-        contexts = values[free].astype(narrow)
+        contexts = values[free]
         contexts[:, var] = 0
-        keys = contexts.view(row_bytes).ravel().tolist()
+        keys = _row_keys(contexts).tolist()
         cdfs = list(map(memo.get(var, {}).get, keys))
         if None in cdfs:
             cdfs = _fill_conditionals(model, var, contexts, keys, cdfs, memo)
@@ -416,6 +415,8 @@ def run_chains(
     evidence = np.asarray(evidence, dtype=np.int64)
     if evidence.ndim != 2 or evidence.shape[1] != n:
         raise ValueError("instance does not match the model schema")
+    if len(evidence) == 0:
+        raise ValueError("evidence must hold at least one row, got 0")
     if len(seeds) != len(evidence):
         raise ValueError(f"got {len(seeds)} seeds for {len(evidence)} evidence rows")
     pinned = evidence != MISSING
@@ -428,9 +429,11 @@ def run_chains(
     evidence = np.repeat(evidence, config.chains, axis=0)
     pinned = np.repeat(pinned, config.chains, axis=0)
     values = np.where(pinned, evidence, [r.integers(0, model.schema.cards, size=n) for r in rngs])
+    # one row form: the narrowest type holding every value index, for short memo keys
+    values = values.astype(np.min_scalar_type(int(model.schema.cards.max()) - 1))
     # the kernel's own state: the call's Gibbs memo, or each chain's tree
     if gibbs:
-        step, aux = gibbs_sweep, _start_memo(model, evidence)
+        step, aux = gibbs_sweep, _start_memo(model, evidence, values.dtype)
     else:
         step, aux = tree_augmented_step, np.array([random_parent_vector(n, r) for r in rngs])
 

@@ -139,7 +139,7 @@ def test_criterion_4_em_monotone_and_normalized():
         stats = e_step(model, data)
         lls.append(stats.loglik)
         model = m_step(stats, config, schema)
-        valid = valid and validate_model(model, 1e-9) == []
+        valid = valid and validate_model(model) == []
     lls.append(data_log_likelihood(model, data))
     monotone = all(b >= a - 1e-8 for a, b in zip(lls, lls[1:]))
     elapsed = time.perf_counter() - t0

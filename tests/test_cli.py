@@ -508,6 +508,22 @@ def test_binding_without_an_equals_sign_exits_two(tmp_path, capsys, bindings, ba
     assert f"binding {bad!r} is not VAR=VALUE" in err
 
 
+@pytest.mark.parametrize(
+    "bindings, message",
+    [
+        (("--query", "X9=T"), "unknown variable 'X9'"),
+        (("--query", "X1=T", "--evidence", "X2=maybe"), "unknown value 'maybe' for variable 'X2'"),
+    ],
+    ids=["query-variable", "evidence-value"],
+)
+def test_unknown_binding_prints_its_message_unquoted(tmp_path, capsys, bindings, message):
+    model_path = two_binary_model_file(tmp_path)
+    code, out, err = run(capsys, "query", "--model", str(model_path), *bindings, "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_query_without_evidence_estimates_the_marginal(tmp_path, capsys):
     # on the uniform model every assignment is equally likely
     model_path = two_binary_model_file(tmp_path)
@@ -693,16 +709,16 @@ def test_eval_rejects_non_finite_fractions(tmp_path, capsys, flags):
 
 
 @pytest.mark.parametrize(
-    "flags",
+    "flags, message",
     [
-        ("--eps", "nan"),
-        ("--eps", "inf"),
-        ("--kappa", "nan", "--smoothing", "sparsity"),
-        ("--tol", "nan"),
+        (("--eps", "nan"), "eps must be finite, got nan"),
+        (("--eps", "inf"), "eps must be finite, got inf"),
+        (("--kappa", "nan", "--smoothing", "sparsity"), "kappa must be finite, got nan"),
+        (("--tol", "nan"), "rel_tol must be finite, got nan"),
     ],
     ids=["eps-nan", "eps-inf", "kappa-nan", "tol-nan"],
 )
-def test_train_rejects_non_finite_hyperparameters(tmp_path, capsys, flags):
+def test_train_rejects_non_finite_hyperparameters(tmp_path, capsys, flags, message):
     data = tmp_path / "d.csv"
     run(capsys, "gen-data", "--n", "8", "--samples", "50", "--seed", "4", "--out", str(data))
     model_path = tmp_path / "m.model"
@@ -710,7 +726,27 @@ def test_train_rejects_non_finite_hyperparameters(tmp_path, capsys, flags):
         capsys, "train", "--data", str(data), "--out", str(model_path), "--iters", "2", *flags
     )
     assert code == 2
-    assert "eps, kappa and rel_tol must be finite" in err
+    assert message in err
+    assert not model_path.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--iters", "0"), "max_iters must be at least 1, got 0"),
+        (("--eps", "-1"), "eps must be at least 0, got -1.0"),
+        (("--kappa", "-1"), "kappa must be at least 0, got -1.0"),
+        (("--tol", "nan"), "rel_tol must be finite, got nan"),
+    ],
+    ids=["iters", "eps", "kappa", "tol"],
+)
+def test_train_setting_out_of_range_exits_two_naming_it(tmp_path, capsys, flags, message):
+    data, model_path = tmp_path / "d.csv", tmp_path / "m.model"
+    data.write_text("X1,X2\nT,F\nF,T\n")
+    code, out, err = run(capsys, "train", "--data", str(data), "--out", str(model_path), *flags)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
     assert not model_path.exists()
 
 

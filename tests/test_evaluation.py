@@ -163,22 +163,55 @@ def test_trained_model_beats_baseline_on_dependent_data():
 
 def test_format_report_exact_fields():
     report = EvalReport(
-        instances=3,
         q_frac=0.4,
         e_frac=0.3,
-        per_cll=(-0.5,),
-        per_cmll=(-0.4,),
-        per_max=(-0.4,),
-        mean_cll=-0.5,
-        mean_cmll=-0.4,
-        mean_max=-0.4,
-        seconds_train=1.0,
+        per_cll=(-0.5, -0.5, -0.5),
+        per_cmll=(-0.4, -0.4, -0.4),
         seconds_infer=2.0,
     )
     lines = format_report(report).strip().split("\n")
     assert [line.split(":")[0] for line in lines] == list(REPORT_FIELDS)
     assert lines[0] == "instances: 3"
     assert lines[3] == "mean_cll: -0.500000"
+
+
+def test_report_derives_its_summaries_from_its_per_instance_values():
+    report = EvalReport(0.4, 0.3, [-1.0, -3.0, -0.5], [-2.0, -1.0, -0.25], seconds_infer=1.5)
+    assert report.per_cll == (-1.0, -3.0, -0.5)
+    assert report.per_cmll == (-2.0, -1.0, -0.25)
+    assert report.instances == 3
+    assert report.per_max == (-1.0, -1.0, -0.25)
+    assert report.mean_cll == -1.5
+    assert report.mean_cmll == float(np.mean([-2.0, -1.0, -0.25]))
+    assert report.mean_max == -0.75
+    assert report.seconds_train == 0.0
+    assert format_report(report).splitlines()[-2:] == [
+        "seconds_train: 0.000",
+        "seconds_infer: 1.500",
+    ]
+
+
+@pytest.mark.parametrize(
+    "per_cll, per_cmll, message",
+    [
+        ((), (), "a report needs at least one instance, got 0"),
+        ((-1.0, -2.0), (-1.0,), "got 2 CLL and 1 CMLL values"),
+    ],
+    ids=["empty", "unequal"],
+)
+def test_report_rejects_no_instances_or_unequal_value_lists(per_cll, per_cmll, message):
+    with pytest.raises(ValueError, match=message):
+        EvalReport(0.4, 0.3, per_cll, per_cmll)
+
+
+def test_evaluate_and_baseline_reject_no_instances():
+    # both used to return NaN means after numpy's "Mean of empty slice" warning
+    ds = toy_dataset(4, rows=10, seed=3)
+    config = SamplerConfig(samples=5, burn_in=1)
+    with pytest.raises(ValueError, match="at least one instance"):
+        evaluate(make_uniform_model(ds.schema), [], config, 0.4, 0.3)
+    with pytest.raises(ValueError, match="at least one instance"):
+        evaluate_baseline(fit_independence_baseline(ds), [], 0.4, 0.3)
 
 
 @pytest.mark.parametrize(

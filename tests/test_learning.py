@@ -102,7 +102,7 @@ def test_e_step_single_variable_model():
     # the full E/M round still works when pair-source rows have no targets
     new = m_step(stats, none_config(), schema)
     assert new.dep[0, schema.col_of(0, 1)] == pytest.approx(1.0, abs=1e-9)
-    assert validate_model(new, 1e-9) == []
+    assert validate_model(new) == []
 
 
 def test_e_step_reports_singular_sample_index(two_binary_schema):
@@ -251,7 +251,7 @@ def test_m_step_single_sample_root_ratio(worked_model, two_binary_schema):
     new = m_step(stats, none_config(), two_binary_schema)
     assert new.dep[0, two_binary_schema.col_of(0, 0)] == pytest.approx(0.4, abs=1e-9)
     assert new.dep[0, two_binary_schema.col_of(1, 0)] == pytest.approx(0.6, abs=1e-9)
-    assert validate_model(new, 1e-9) == []
+    assert validate_model(new) == []
 
 
 def test_m_step_degenerate_count_concentrates(two_binary_schema):
@@ -330,7 +330,7 @@ def test_m_step_stop_variant_expected_stop_counts(two_binary_schema):
     for i in range(3):
         out_mass = post[i].sum()
         assert new.stop[rows[i]] == pytest.approx(1.0 / (1.0 + out_mass), abs=1e-9)
-    assert validate_model(new, 1e-9) == []
+    assert validate_model(new) == []
 
 
 def _two_branch_m_step(stats, config, schema):
@@ -414,7 +414,7 @@ def test_train_em_single_iteration_trace(two_binary_schema):
     model, trace = train_em(data, two_binary_schema, none_config(max_iters=1))
     assert len(trace) == 2
     assert trace[1].loglik >= trace[0].loglik - 1e-8
-    assert validate_model(model, 1e-9) == []
+    assert validate_model(model) == []
 
 
 def test_train_em_point_mass_dataset_concentrates(two_binary_schema):
@@ -473,7 +473,7 @@ def test_train_em_sparsity_prior_zeroes_rare_edges():
     data = rng.integers(0, schema.cards, size=(40, 3))
     cfg = TrainConfig(smoothing=Smoothing.SPARSITY, kappa=2.0, max_iters=10, rel_tol=0.0)
     model, _ = train_em(data, schema, cfg)
-    assert validate_model(model, 1e-9) == []
+    assert validate_model(model) == []
     mask = schema.source_mask
     # heavy discounting drives many weights to the floor
     assert (model.dep[mask] < 1e-6).sum() > 0

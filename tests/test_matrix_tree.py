@@ -82,6 +82,16 @@ def test_log_partition_many_neginf_mode():
     assert out[1] == -np.inf
 
 
+@pytest.mark.parametrize("typo", ["NEGINF", "neg-inf", None])
+def test_unknown_on_singular_is_rejected(two_binary_schema, typo):
+    message = f"on_singular must be 'raise' or 'neginf', got {typo!r}"
+    with pytest.raises(ValueError, match=message):
+        log_partition_many(np.zeros((1, 3, 2)), on_singular=typo)
+    model = make_uniform_model(two_binary_schema)
+    with pytest.raises(ValueError, match=message):
+        unnormalized_log_joint_many(model, np.zeros((1, 2), np.int64), on_singular=typo)
+
+
 def test_edge_posteriors_worked_example():
     _, post = partition_and_posteriors_many(worked_graph()[None])
     post = post[0]

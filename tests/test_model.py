@@ -99,7 +99,7 @@ def test_uniform_plain_two_binary(two_binary_schema):
     for val in range(2):
         for tval in range(2):
             assert model.dep[1 + s.col_of(0, val), s.col_of(1, tval)] == pytest.approx(0.5)
-    assert validate_model(model, 1e-9) == []
+    assert validate_model(model) == []
 
 
 def test_uniform_stop_three_ternary():
@@ -110,7 +110,7 @@ def test_uniform_stop_three_ternary():
     row = 1 + schema.col_of(0, 1)
     assert model.stop[row] == pytest.approx(1 / 7)
     assert model.dep[row, schema.col_of(2, 0)] == pytest.approx(1 / 7)
-    assert validate_model(model, 1e-9) == []
+    assert validate_model(model) == []
 
 
 def test_uniform_model_is_deterministic(two_binary_schema):
@@ -126,7 +126,7 @@ def test_validate_flags_scaled_row(two_binary_schema):
     row = 1 + two_binary_schema.col_of(0, 0)
     dep[row] *= 1.1
     bad = LdfmModel(two_binary_schema, Variant.PLAIN, dep)
-    violations = validate_model(bad, 1e-9)
+    violations = validate_model(bad)
     assert len(violations) == 1
     assert "X1=T" in violations[0]
 
@@ -137,7 +137,7 @@ def test_validate_flags_negative_weight(two_binary_schema):
     dep[0, 0] = -0.25
     dep[0, 1] = 0.75
     bad = LdfmModel(two_binary_schema, Variant.PLAIN, dep)
-    assert any("outside [0, 1]" in v for v in validate_model(bad, 1e-9))
+    assert any("outside [0, 1]" in v for v in validate_model(bad))
 
 
 @pytest.mark.parametrize("variant", list(Variant))
@@ -152,7 +152,7 @@ def test_validate_reports_a_weight_below_the_load_bound(two_binary_schema, varia
     expected = (
         f"X1=T -> X2=F: dep weight 1e-20 is below the smallest loadable weight {MIN_LOAD_WEIGHT:g}"
     )
-    assert validate_model(tiny, 1e-9) == [expected]
+    assert validate_model(tiny) == [expected]
     assert weight_violations(tiny) == [expected]
 
 
@@ -177,7 +177,7 @@ def test_a_weight_defect_hides_the_tiny_weights(two_binary_schema):
     dep[1, 3] = 1e-20  # tiny X1=T -> X2=F weight
     bad = LdfmModel(two_binary_schema, Variant.PLAIN, dep)
     assert weight_violations(bad) == ["root: dep weight outside [0, 1]"]
-    assert not any("below the smallest loadable weight" in v for v in validate_model(bad, 1e-9))
+    assert not any("below the smallest loadable weight" in v for v in validate_model(bad))
 
 
 def test_validate_rejects_saturated_stop_weights(two_binary_schema):
@@ -186,13 +186,13 @@ def test_validate_rejects_saturated_stop_weights(two_binary_schema):
     bad = LdfmModel(
         two_binary_schema, Variant.STOP_AUGMENTED, base.dep, np.ones_like(base.stop)
     )
-    assert validate_model(bad, 1e-9) != []
+    assert validate_model(bad) != []
 
 
 def test_validate_single_variable_plain_model_skips_empty_rows():
     schema = VariableSchema((("A", ("T", "F")),))
     model = make_uniform_model(schema, Variant.PLAIN)
-    assert validate_model(model, 1e-9) == []
+    assert validate_model(model) == []
 
 
 def test_model_arrays_are_frozen(two_binary_schema):
@@ -208,7 +208,7 @@ def test_uniform_rows_normalize_and_stay_in_range(seed, n, stop):
     schema = random_schema(rng, n, max_card=4)
     variant = Variant.STOP_AUGMENTED if stop else Variant.PLAIN
     model = make_uniform_model(schema, variant)
-    assert validate_model(model, 1e-9) == []
+    assert validate_model(model) == []
     totals = model.dep.sum(axis=1)
     if variant is Variant.STOP_AUGMENTED:
         totals = totals + model.stop

@@ -637,7 +637,7 @@ def test_gibbs_memo_filled_up_front_holds_one_cdf_per_context(variant):
     rng = np.random.default_rng(101)
     model = random_model(rng, random_schema(rng, 5), variant)
     evidence = _memo_test_evidence(5)
-    memo = sampling._start_memo(model, evidence)
+    memo = sampling._start_memo(model, evidence, np.uint8)
     cards = model.schema.cards.tolist()
     # the conditional layer alone: one key per variable, no row keys
     assert sorted(memo) == list(range(5))
@@ -662,7 +662,7 @@ def test_gibbs_memo_fill_leaves_out_contexts_with_no_drawable_value(
     model = _one_value_impossible_model(two_binary_schema, variant)
     # X1=F also gets no weight, so only (T, T) scores: X1's context X2=F
     # and X2's context X1=F are all -inf, and the fill leaves them out
-    memo = sampling._start_memo(model, np.full((1, 2), MISSING))
+    memo = sampling._start_memo(model, np.full((1, 2), MISSING), np.uint8)
     assert sorted(memo) == [0, 1]  # no row entries
     assert len(memo[0]) == len(memo[1]) == 1
     # with X2 pinned to F, the chain meets the left-out context and raises
@@ -821,6 +821,14 @@ def test_run_chains_rejects_schema_mismatch(two_binary_schema):
     model = make_uniform_model(two_binary_schema)
     with pytest.raises(ValueError, match="schema"):
         run_chains(model, np.full((1, 3), MISSING), SamplerConfig(), [0])
+
+
+@pytest.mark.parametrize("kind", list(SamplerKind))
+def test_run_chains_rejects_empty_evidence(two_binary_schema, kind):
+    model = make_uniform_model(two_binary_schema)
+    config = SamplerConfig(sampler=kind, samples=3, burn_in=1)
+    with pytest.raises(ValueError, match="evidence must hold at least one row, got 0"):
+        run_chains(model, np.zeros((0, 2), np.int64), config, [])
 
 
 def test_estimate_cll_counts(two_binary_schema):
