@@ -37,7 +37,7 @@ from .matrix_tree import (
     SingularLaplacianError,
     partition_and_posteriors_many,
 )
-from .model import MISSING, Variant
+from .model import MISSING
 from .oracle import MAX_TREE_N, brute_partition_and_posteriors
 from .rng import make_rng
 
@@ -145,7 +145,7 @@ def _add_sampler_flags(p: argparse.ArgumentParser) -> None:
 
 def _sampler_config(args) -> sampling.SamplerConfig:
     return sampling.SamplerConfig(
-        sampler=sampling.SamplerKind(args.sampler),
+        sampler=args.sampler,
         burn_in=args.burn_in,
         samples=args.samples,
         thin=args.thin,
@@ -200,10 +200,10 @@ def _cmd_train(args) -> int:
     config = learning.TrainConfig(
         max_iters=args.iters,
         rel_tol=args.tol,
-        smoothing=learning.Smoothing(args.smoothing),
+        smoothing=args.smoothing,
         eps=args.eps,
         kappa=args.kappa,
-        variant=Variant(args.variant),
+        variant=args.variant,
     )
     t0 = time.perf_counter()
     model, trace = learning.train_em(dataset.rows, dataset.schema, config, workers=args.workers)

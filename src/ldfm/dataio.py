@@ -22,7 +22,6 @@ from .model import (
     Variant,
     VariableSchema,
     _normalization_findings,
-    weight_violations,
 )
 from .rng import make_rng
 
@@ -194,7 +193,7 @@ def _model_payload(model: LdfmModel) -> dict:
 
     def by_label(cells) -> dict:
         """The {variable: {label: value}} map of (key column, value) cells;
-        :func:`_model_from_payload`'s ``cells`` is its inverse."""
+        :func:`_model_tables`'s ``cells`` is its inverse."""
         out: dict = {}
         for col, value in cells:
             name, label = keys[col]
@@ -234,8 +233,9 @@ def _number(value, what: str):
     return value
 
 
-def _model_from_payload(payload: dict, path) -> LdfmModel:
-    """The model a payload describes; any structure or type error raises."""
+def _model_tables(payload: dict, path) -> tuple:
+    """The (schema, variant, dep, stop) a payload describes; any structure
+    or type error raises."""
     schema = _schema_from_variables(payload["variables"])
     variant = Variant(payload["variant"])
     k = schema.num_keys
@@ -271,16 +271,16 @@ def _model_from_payload(payload: dict, path) -> LdfmModel:
             row = np.argmin(stop_set)
             raise ModelFormatError(f"{path}: no stop weight for {schema.describe_row(row)}")
 
-    return LdfmModel(schema, variant, dep, stop)
+    return schema, variant, dep, stop
 
 
 def load_model(path) -> LdfmModel:
     """Rebuild a model from a file produced by :func:`save_model`.
 
     Rejects version mismatches, truncation, checksum failures and every
-    :func:`~ldfm.model.weight_violations` defect outright; a normalization
-    deviation beyond 1e-6 only warns, since slightly stale weights are
-    still usable.
+    weight defect that :class:`~ldfm.model.LdfmModel` rejects outright; a
+    normalization deviation beyond 1e-6 only warns, since slightly stale
+    weights are still usable.
     """
     doc = _read_document(path, "model")
     payload = doc.get("payload")
@@ -290,14 +290,15 @@ def load_model(path) -> LdfmModel:
         raise ModelFormatError(f"{path}: checksum mismatch")
 
     try:
-        model = _model_from_payload(payload, path)
+        tables = _model_tables(payload, path)
     except ModelFormatError:
         raise
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"{path}: malformed payload ({type(exc).__name__}: {exc})") from None
-    defects = weight_violations(model)
-    if defects:
-        raise ModelFormatError(f"{path}: {'; '.join(defects)}")
+    try:
+        model = LdfmModel(*tables)
+    except ValueError as exc:  # a weight defect: the tables are the right shape
+        raise ModelFormatError(f"{path}: {exc}") from None
     deviations = _normalization_findings(model, LOAD_NORMALIZATION_WARN)
     if deviations:
         warnings.warn(

@@ -30,7 +30,7 @@ from .model import (
     LdfmModel,
     Variant,
     VariableSchema,
-    check_weights,
+    _uniform_tables,
     make_uniform_model,
 )
 
@@ -59,6 +59,8 @@ class TrainConfig:
     variant: Variant = Variant.PLAIN
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "smoothing", Smoothing(self.smoothing))
+        object.__setattr__(self, "variant", Variant(self.variant))
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
         for name in ("eps", "kappa", "rel_tol"):
@@ -186,9 +188,7 @@ def e_step(model: LdfmModel, data, workers: int | None = None) -> SufficientStat
     """Edge-posterior statistics and log-likelihood over complete samples,
     one pass per distinct sample weighted by its count; identical for any
     worker count.  ``data`` may also be the samples already counted by
-    :func:`train_em`.  A model with a :func:`~ldfm.model.weight_violations`
-    defect raises ValueError."""
-    check_weights(model)
+    :func:`train_em`."""
     parts = _map_chunks(partial(_chunk_stats, model), _counted(data, model.schema), workers)
     return sum(parts[1:], parts[0])
 
@@ -200,8 +200,7 @@ def _chunk_loglik(model: LdfmModel, xs: np.ndarray, counts: np.ndarray) -> float
 
 def data_log_likelihood(model: LdfmModel, data) -> float:
     """Sum over samples of the log unnormalized joint weight; ``data`` may
-    also be already counted, and a bad model raises, as for :func:`e_step`."""
-    check_weights(model)
+    also be already counted, as for :func:`e_step`."""
     return sum(_map_chunks(partial(_chunk_loglik, model), _counted(data, model.schema), None))
 
 
@@ -229,17 +228,17 @@ def m_step(stats: SufficientStats, config: TrainConfig, schema: VariableSchema) 
 
     # one ratio for both variants: stop mass competes with the outgoing
     # mass, and plain has none
-    uniform = make_uniform_model(schema, config.variant)
+    uniform_dep, uniform_stop = _uniform_tables(schema, config.variant)
     stop_mass = occur if config.variant is Variant.STOP_AUGMENTED else 0.0
     mass = stop_mass + edge.sum(axis=1)
     usable = (stats.occur > 0) & (mass > 0)
     denom = np.where(usable, mass, 1.0)
-    dep = np.where(usable[:, None], edge / denom[:, None], uniform.dep)
+    dep = np.where(usable[:, None], edge / denom[:, None], uniform_dep)
     dep = np.where(mask, np.maximum(dep, WEIGHT_FLOOR), 0.0)
     if config.variant is Variant.PLAIN:
         totals = dep.sum(axis=1)
         return LdfmModel(schema, config.variant, dep / np.where(totals > 0, totals, 1.0)[:, None])
-    stop = np.maximum(np.where(usable, occur / denom, uniform.stop), WEIGHT_FLOOR)
+    stop = np.maximum(np.where(usable, occur / denom, uniform_stop), WEIGHT_FLOOR)
     total = dep.sum(axis=1) + stop
     return LdfmModel(schema, config.variant, dep / total[:, None], stop / total)
 

@@ -38,10 +38,10 @@ MISSING = -1
 # Floor applied to fitted weights so later Laplacians stay nonsingular.
 WEIGHT_FLOOR = 1e-12
 
-# Smallest positive weight a model file may hold.  EM floors weights and
-# then renormalises, which can leave them just under WEIGHT_FLOOR; much
-# smaller weights take the determinant core outside the range in which it
-# is checked to match enumeration.
+# Smallest positive weight a model, and so a model file, may hold.  EM
+# floors weights and then renormalises, which can leave them just under
+# WEIGHT_FLOOR; much smaller weights take the determinant core outside the
+# range in which it is checked to match enumeration.
 MIN_LOAD_WEIGHT = WEIGHT_FLOOR / 2
 
 
@@ -67,8 +67,11 @@ class VariableSchema:
         if len(set(names)) != len(names):
             raise ValueError("variable names must be unique")
         # datasets are comma-separated lines, so no name or label may hold
-        # a separator; query bindings are stripped, so none may be padded
+        # a separator or be empty (blank lines are skipped); query bindings
+        # are stripped, so none may be padded
         for text in names + [label for _, dom in vs for label in dom]:
+            if not text:
+                raise ValueError("a name or label is empty")
             if any(c in text for c in ",\r\n"):
                 raise ValueError(f"name or label {text!r} contains a comma or line break")
             if text != text.strip():
@@ -212,8 +215,10 @@ class LdfmModel:
     ``dep`` has one row per source key (row 0 = root) and one column per
     target <variable, value> key; entries outside :attr:`VariableSchema.source_mask`
     are structurally zero.  The arrays are copied and frozen, so a model is
-    immutable and safe to share across threads.  :attr:`log_dep` and
-    :attr:`log_stop` are the log tables every scoring path reads.
+    immutable and safe to share across threads; a :func:`weight_violations`
+    defect raises ValueError, so no later path checks the weights again.
+    :attr:`log_dep` and :attr:`log_stop` are the log tables every scoring
+    path reads.
     """
 
     schema: VariableSchema
@@ -222,6 +227,7 @@ class LdfmModel:
     stop: np.ndarray | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "variant", Variant(self.variant))
         k = self.schema.num_keys
         dep = np.array(self.dep, dtype=np.float64)
         if dep.shape != (1 + k, k):
@@ -238,6 +244,9 @@ class LdfmModel:
             object.__setattr__(self, "stop", stop)
         elif self.stop is not None:
             raise ValueError("plain model must not carry stop weights")
+        defects = weight_violations(self)
+        if defects:
+            raise ValueError(f"model weights are invalid: {'; '.join(defects)}")
 
     @cached_property
     def log_dep(self) -> np.ndarray:
@@ -261,6 +270,14 @@ class LdfmModel:
         return a
 
 
+def _uniform_tables(schema: VariableSchema, variant: Variant):
+    """The uniform model's dep table and stop weights (None for plain)."""
+    counts = schema.target_counts.astype(np.float64)
+    if variant is Variant.PLAIN:
+        return schema.source_mask / np.where(counts > 0, counts, 1.0)[:, None], None
+    return schema.source_mask / (counts + 1.0)[:, None], 1.0 / (counts + 1.0)
+
+
 def make_uniform_model(schema: VariableSchema, variant: Variant = Variant.PLAIN) -> LdfmModel:
     """Uniform weight table: every legal target of a source gets equal mass.
 
@@ -268,16 +285,8 @@ def make_uniform_model(schema: VariableSchema, variant: Variant = Variant.PLAIN)
     target, so a source with t legal targets gets weight 1/(t+1) everywhere.
     Deterministic: the same schema always produces bit-identical tables.
     """
-    mask = schema.source_mask
-    counts = schema.target_counts.astype(np.float64)
-    if variant is Variant.PLAIN:
-        denom = np.where(counts > 0, counts, 1.0)
-        dep = mask / denom[:, None]
-        return LdfmModel(schema, variant, dep)
-    denom = counts + 1.0
-    dep = mask / denom[:, None]
-    stop = 1.0 / denom
-    return LdfmModel(schema, Variant.STOP_AUGMENTED, dep, stop)
+    variant = Variant(variant)
+    return LdfmModel(schema, variant, *_uniform_tables(schema, variant))
 
 
 def weight_violations(model: LdfmModel) -> list[str]:
@@ -313,18 +322,10 @@ def weight_violations(model: LdfmModel) -> list[str]:
     return violations
 
 
-def check_weights(model: LdfmModel) -> None:
-    """Raise ValueError listing every :func:`weight_violations` defect, so
-    that a scoring or sampling call rejects a bad model before any work."""
-    defects = weight_violations(model)
-    if defects:
-        raise ValueError(f"model weights are invalid: {'; '.join(defects)}")
-
-
 def validate_model(model: LdfmModel) -> list[str]:
-    """Every :func:`weight_violations` defect, then every normalization
-    finding beyond 1e-9; an empty list means the model is valid."""
-    return weight_violations(model) + _normalization_findings(model, 1e-9)
+    """Every normalization finding beyond 1e-9 (a built model has no weight
+    defect); an empty list means the model is valid."""
+    return _normalization_findings(model, 1e-9)
 
 
 def _normalization_findings(model: LdfmModel, tol: float) -> list[str]:

@@ -45,7 +45,7 @@ import numpy as np
 
 from . import matrix_tree, rng as rng_mod
 from .matrix_tree import SingularLaplacianError
-from .model import MISSING, LdfmModel, check_weights
+from .model import MISSING, LdfmModel
 
 
 # Most floats a Gibbs memo stores over both layers, one per row log joint
@@ -98,6 +98,7 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "sampler", SamplerKind(self.sampler))
         for name in ("samples", "thin", "chains"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
@@ -407,10 +408,8 @@ def run_chains(
     Row i runs ``config.chains`` chains on the streams
     ``chain_rngs(seeds[i], config.chains)``, so its draws do not depend on
     which rows share the call.  Each chain burns in, then records every
-    ``thin``-th state.  A model with a
-    :func:`~ldfm.model.weight_violations` defect raises ValueError first.
+    ``thin``-th state.
     """
-    check_weights(model)
     n = model.schema.n
     evidence = np.asarray(evidence, dtype=np.int64)
     if evidence.ndim != 2 or evidence.shape[1] != n:

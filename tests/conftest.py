@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from ldfm.dataio import _payload_checksum
 from ldfm.model import MIN_LOAD_WEIGHT, LdfmModel, Variant, VariableSchema
 
 # Worked 2-node example used across modules: three spanning trees with
@@ -105,23 +108,37 @@ def random_schema(rng: np.random.Generator, n: int, max_card: int = 3) -> Variab
     )
 
 
-# Every kind of defect weight_violations reports, as (dep cell, value,
-# words of the report): cell (1, 1) is X1=T -> X1=F on a schema whose first
-# variable has two or more values.
+# Every kind of defect weight_violations reports, as (table, cell, value,
+# words of the report): dep cell (1, 1) is X1=T -> X1=F and stop cell (2,)
+# is X1=F, on a schema whose first variable has two or more values.
 WEIGHT_DEFECTS = {
-    "nan": ((0, 0), np.nan, "dep weights contain non-finite entries"),
-    "inf": ((0, 0), np.inf, "dep weights contain non-finite entries"),
-    "negative": ((0, 0), -0.1, r"root: dep weight outside \[0, 1\]"),
-    "same-variable": ((1, 1), 0.1, "nonzero weight for a same-variable target"),
-    "below-load-bound": ((0, 0), MIN_LOAD_WEIGHT / 10, "below the smallest loadable weight"),
+    "nan": ("dep", (0, 0), np.nan, "dep weights contain non-finite entries"),
+    "inf": ("dep", (0, 0), np.inf, "dep weights contain non-finite entries"),
+    "negative": ("dep", (0, 0), -0.1, r"root: dep weight outside \[0, 1\]"),
+    "same-variable": ("dep", (1, 1), 0.1, "X1=T: nonzero weight for a same-variable target"),
+    "below-load-bound": ("dep", (0, 0), MIN_LOAD_WEIGHT / 10, "below the smallest loadable weight"),
+    "stop-nan": ("stop", (2,), np.nan, "stop weights contain non-finite entries"),
+    "stop-negative": ("stop", (2,), -0.1, r"X1=F: stop weight outside \[0, 1\]"),
+    "stop-below-load-bound": ("stop", (2,), MIN_LOAD_WEIGHT / 10, "X1=F: stop weight 5e-14 is below"),
 }
+DEP_DEFECTS = {name: defect for name, defect in WEIGHT_DEFECTS.items() if defect[0] == "dep"}
 
 
-def with_dep_weight(model: LdfmModel, cell: tuple, value: float) -> LdfmModel:
-    """``model`` with one dep cell set to ``value``."""
-    dep = model.dep.copy()
-    dep[cell] = value
-    return LdfmModel(model.schema, model.variant, dep, model.stop)
+def tables_with(model: LdfmModel, table: str, cell: tuple, value: float) -> dict:
+    """``model``'s dep and stop tables, copied, with one cell of ``table``
+    set to ``value``: keyword arguments for LdfmModel or dataclasses.replace."""
+    tables = {"dep": model.dep.copy(), "stop": None if model.stop is None else model.stop.copy()}
+    tables[table][cell] = value
+    return tables
+
+
+def rewrite_payload(path, edit) -> None:
+    """Apply ``edit`` to a saved model's payload and re-sign it, so only the
+    weight checks stand between the file and a loaded model."""
+    doc = json.loads(path.read_text())
+    edit(doc["payload"])
+    doc["checksum"] = _payload_checksum(doc["payload"])
+    path.write_text(json.dumps(doc), encoding="utf-8")
 
 
 def count_method_calls(monkeypatch, cls, name: str) -> list:

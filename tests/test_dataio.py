@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -17,12 +18,11 @@ from ldfm.dataio import (
     save_dataset,
     save_model,
     save_schema,
-    _payload_checksum,
 )
 from ldfm.learning import Smoothing, TrainConfig, train_em
 from ldfm.model import MIN_LOAD_WEIGHT, WEIGHT_FLOOR, Variant, VariableSchema, make_uniform_model
 
-from conftest import model_from_weights, random_model
+from conftest import model_from_weights, random_model, rewrite_payload
 
 
 def write(path, text):
@@ -51,6 +51,14 @@ def test_load_dataset_empty_file(tmp_path):
     p = tmp_path / "d.csv"
     write(p, "")
     with pytest.raises(DatasetFormatError):
+        load_dataset(p)
+
+
+@pytest.mark.parametrize("text", ["A,\nx,y\n", "A,B\nx,\nx,y\n"], ids=["name", "label"])
+def test_inferred_schema_rejects_an_empty_name_or_label(tmp_path, text):
+    p = tmp_path / "d.csv"
+    write(p, text)
+    with pytest.raises(DatasetFormatError, match=f"^{re.escape(str(p))}: a name or label is empty$"):
         load_dataset(p)
 
 
@@ -318,15 +326,6 @@ def test_fixture_net_unknown_size():
         fixture_net(13)
 
 
-def rewrite_payload(path, edit) -> None:
-    """Apply ``edit`` to a saved model's payload and re-sign it, so only the
-    weight checks stand between the file and a loaded model."""
-    doc = json.loads(path.read_text())
-    edit(doc["payload"])
-    doc["checksum"] = _payload_checksum(doc["payload"])
-    write(path, json.dumps(doc))
-
-
 def saved_uniform(tmp_path, variant=Variant.PLAIN):
     schema = VariableSchema((("A", ("T", "F")), ("B", ("T", "F"))))
     p = tmp_path / "m.model"
@@ -400,7 +399,7 @@ def test_model_with_a_negative_and_a_tiny_weight_names_only_the_negative(tmp_pat
     ))
     with pytest.raises(ModelFormatError) as info:
         load_model(p)
-    assert str(info.value) == f"{p}: root: dep weight outside [0, 1]"
+    assert str(info.value) == f"{p}: model weights are invalid: root: dep weight outside [0, 1]"
 
 
 def test_model_missing_entry_rejected(tmp_path):

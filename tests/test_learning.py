@@ -31,13 +31,13 @@ from ldfm.model import (
 from ldfm.oracle import brute_partition_and_posteriors
 
 from conftest import (
-    WEIGHT_DEFECTS,
+    DEP_DEFECTS,
     WORKED_Z,
     count_method_calls,
     model_from_weights,
     random_model,
     random_schema,
-    with_dep_weight,
+    tables_with,
 )
 
 
@@ -503,6 +503,25 @@ def test_train_config_rejects_non_finite_hyperparameters(field, value):
         TrainConfig(**{field: value})
 
 
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("smoothing", list(Smoothing))
+def test_train_config_enums_are_their_members_or_their_values(smoothing, variant):
+    data = forward_sample(fixture_net(8), 200, 1)
+    models = [
+        train_em(data.rows, data.schema, TrainConfig(max_iters=3, smoothing=s, variant=v))[0]
+        for s, v in ((smoothing, variant), (smoothing.value, variant.value))
+    ]
+    assert models[1].variant is variant
+    np.testing.assert_array_equal(models[0].dep, models[1].dep)
+    np.testing.assert_array_equal(models[0].log_stop, models[1].log_stop)
+    config = TrainConfig(smoothing=smoothing.value, variant=variant.value)
+    assert (config.smoothing, config.variant) == (smoothing, variant)
+    with pytest.raises(ValueError, match="'laplace'"):
+        TrainConfig(smoothing="laplace")
+    with pytest.raises(ValueError, match="'forest'"):
+        TrainConfig(variant="forest")
+
+
 def test_train_em_deduplicates_once_per_evaluated_model(monkeypatch, caplog):
     calls = []
 
@@ -566,9 +585,12 @@ def test_m_step_requires_samples(two_binary_schema):
 
 
 @pytest.mark.parametrize("score", [e_step, data_log_likelihood])
-@pytest.mark.parametrize("defect", WEIGHT_DEFECTS)
+@pytest.mark.parametrize("defect", DEP_DEFECTS)
 def test_scoring_rejects_a_model_weight_defect(two_binary_schema, score, defect):
-    cell, value, words = WEIGHT_DEFECTS[defect]
-    model = with_dep_weight(make_uniform_model(two_binary_schema), cell, value)
+    # the model is checked when it is built, so the defect raises before
+    # any scoring work
+    base = make_uniform_model(two_binary_schema)
+    table, cell, value, words = DEP_DEFECTS[defect]
     with pytest.raises(ValueError, match=words):
-        score(model, np.array([[0, 0], [1, 0]]))
+        score(LdfmModel(two_binary_schema, base.variant, **tables_with(base, table, cell, value)),
+              np.array([[0, 0], [1, 0]]))

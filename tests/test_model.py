@@ -1,9 +1,12 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldfm.dataio import Dataset
+from ldfm.dataio import Dataset, ModelFormatError, load_model, save_model
 from ldfm.learning import TrainConfig, train_em
 from ldfm.matrix_tree import unnormalized_log_joint_many
 from ldfm.model import (
@@ -14,11 +17,10 @@ from ldfm.model import (
     VariableSchema,
     make_uniform_model,
     validate_model,
-    weight_violations,
 )
 from ldfm.oracle import brute_unnormalized_joint
 
-from conftest import random_model, random_schema
+from conftest import WEIGHT_DEFECTS, random_model, random_schema, rewrite_payload, tables_with
 
 
 def test_schema_rejects_bad_input():
@@ -38,6 +40,15 @@ def test_schema_rejects_separators_in_names_and_labels(text, where):
     # a dataset row is one comma-separated line, so such text cannot round-trip
     variables = ((text, ("x", "y")),) if where == "name" else (("A", ("x", text)),)
     with pytest.raises(ValueError, match="comma or line break"):
+        VariableSchema(variables)
+
+
+@pytest.mark.parametrize("where", ["name", "label"])
+def test_schema_rejects_empty_names_and_labels(where):
+    # a dataset line holding only an empty label is blank, and blank lines
+    # are skipped on load, so such rows would be lost
+    variables = (("", ("x", "y")),) if where == "name" else (("A", ("x", "")),)
+    with pytest.raises(ValueError, match="^a name or label is empty$"):
         VariableSchema(variables)
 
 
@@ -132,28 +143,30 @@ def test_validate_flags_scaled_row(two_binary_schema):
 
 
 def test_validate_flags_negative_weight(two_binary_schema):
+    # a weight defect is found when the model is built, so validate_model
+    # never sees one
     base = make_uniform_model(two_binary_schema)
     dep = base.dep.copy()
     dep[0, 0] = -0.25
     dep[0, 1] = 0.75
-    bad = LdfmModel(two_binary_schema, Variant.PLAIN, dep)
-    assert any("outside [0, 1]" in v for v in validate_model(bad))
+    with pytest.raises(ValueError, match=r"^model weights are invalid: root: dep weight outside \[0, 1\]$"):
+        LdfmModel(two_binary_schema, Variant.PLAIN, dep)
 
 
 @pytest.mark.parametrize("variant", list(Variant))
 def test_validate_reports_a_weight_below_the_load_bound(two_binary_schema, variant):
-    # load_model rejects such a model, so validate_model must not pass it
+    # load_model rejects such a model, so no model may hold it
     base = make_uniform_model(two_binary_schema, variant)
     dep = base.dep.copy()
     row, col = 1 + two_binary_schema.col_of(0, 0), two_binary_schema.col_of(1, 1)
     dep[row, col] = 1e-20
     dep[row, col - 1] += base.dep[row, col] - 1e-20
-    tiny = LdfmModel(two_binary_schema, variant, dep, base.stop)
-    expected = (
-        f"X1=T -> X2=F: dep weight 1e-20 is below the smallest loadable weight {MIN_LOAD_WEIGHT:g}"
+    with pytest.raises(ValueError) as info:
+        LdfmModel(two_binary_schema, variant, dep, base.stop)
+    assert str(info.value) == (
+        "model weights are invalid: X1=T -> X2=F: dep weight 1e-20 is below the smallest "
+        f"loadable weight {MIN_LOAD_WEIGHT:g}"
     )
-    assert validate_model(tiny) == [expected]
-    assert weight_violations(tiny) == [expected]
 
 
 def test_validate_reports_the_first_tiny_dep_and_stop_weights(two_binary_schema):
@@ -161,7 +174,9 @@ def test_validate_reports_the_first_tiny_dep_and_stop_weights(two_binary_schema)
     dep, stop = base.dep.copy(), base.stop.copy()
     dep[0, 1] = dep[0, 3] = 3e-13  # two tiny dep cells: only the first is named
     stop[2] = 1e-15
-    found = weight_violations(LdfmModel(two_binary_schema, Variant.STOP_AUGMENTED, dep, stop))
+    with pytest.raises(ValueError) as info:
+        LdfmModel(two_binary_schema, Variant.STOP_AUGMENTED, dep, stop)
+    found = str(info.value).removeprefix("model weights are invalid: ").split("; ")
     assert [v.split(" is below")[0] for v in found] == [
         "root -> X1=F: dep weight 3e-13",
         "X1=F: stop weight 1e-15",
@@ -175,9 +190,66 @@ def test_a_weight_defect_hides_the_tiny_weights(two_binary_schema):
     dep = base.dep.copy()
     dep[0, 0], dep[0, 1] = -0.25, 0.75  # a negative root weight; the row still sums to 1
     dep[1, 3] = 1e-20  # tiny X1=T -> X2=F weight
-    bad = LdfmModel(two_binary_schema, Variant.PLAIN, dep)
-    assert weight_violations(bad) == ["root: dep weight outside [0, 1]"]
-    assert not any("below the smallest loadable weight" in v for v in validate_model(bad))
+    with pytest.raises(ValueError) as info:
+        LdfmModel(two_binary_schema, Variant.PLAIN, dep)
+    assert str(info.value) == "model weights are invalid: root: dep weight outside [0, 1]"
+
+
+def set_payload_weight(payload: dict, schema: VariableSchema, table: str, cell: tuple, value) -> None:
+    """Set the labelled entry of a model file's payload that holds one
+    ``table`` cell: the inverse of the file's by-label layout."""
+    source = schema.describe_row(cell[0]).split("=")
+    if table == "stop":
+        if cell[0] == 0:
+            payload["root_stop"] = value
+        else:
+            payload["stop_weights"][source[0]][source[1]] = value
+        return
+    entries = payload["root_weights"] if cell[0] == 0 else payload["weights"][source[0]][source[1]]
+    name, label = schema.describe_row(1 + cell[1]).split("=")
+    entries.setdefault(name, {})[label] = value
+
+
+@pytest.mark.parametrize("build", ["LdfmModel", "replace", "load_model"])
+@pytest.mark.parametrize(
+    "defect, variant",
+    [
+        pytest.param(name, variant, id=f"{name}-{variant.value}")
+        for name, (table, *_) in WEIGHT_DEFECTS.items()
+        for variant in Variant
+        if table == "dep" or variant is Variant.STOP_AUGMENTED
+    ],
+)
+def test_a_model_with_a_weight_defect_is_never_built(two_binary_schema, tmp_path, build, defect, variant):
+    table, cell, value, words = WEIGHT_DEFECTS[defect]
+    base = make_uniform_model(two_binary_schema, variant)
+    tables = tables_with(base, table, cell, value)
+    path = tmp_path / "m.model"
+    save_model(base, path)
+    rewrite_payload(path, lambda payload: set_payload_weight(payload, base.schema, table, cell, value))
+    builds = {
+        "LdfmModel": lambda: LdfmModel(base.schema, variant, **tables),
+        "replace": lambda: replace(base, **tables),
+        "load_model": lambda: load_model(path),
+    }
+    prefix = re.escape(f"{path}: ") if build == "load_model" else ""
+    with pytest.raises(ValueError, match=f"^{prefix}model weights are invalid: .*{words}") as info:
+        builds[build]()
+    assert isinstance(info.value, ModelFormatError) == (build == "load_model")
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_a_variant_is_its_member_or_its_value(two_binary_schema, variant):
+    member = make_uniform_model(two_binary_schema, variant)
+    by_value = make_uniform_model(two_binary_schema, variant.value)
+    assert by_value.variant is variant and member.variant is variant
+    np.testing.assert_array_equal(by_value.dep, member.dep)
+    np.testing.assert_array_equal(by_value.log_stop, member.log_stop)
+    assert LdfmModel(two_binary_schema, variant.value, member.dep, member.stop).variant is variant
+    with pytest.raises(ValueError, match="'forest'"):
+        make_uniform_model(two_binary_schema, "forest")
+    with pytest.raises(ValueError, match="'forest'"):
+        LdfmModel(two_binary_schema, "forest", member.dep, member.stop)
 
 
 def test_validate_rejects_saturated_stop_weights(two_binary_schema):

@@ -36,7 +36,7 @@ from ldfm.sampling import (
     tree_augmented_step,
 )
 
-from conftest import WEIGHT_DEFECTS, model_from_weights, random_model, random_schema, with_dep_weight
+from conftest import DEP_DEFECTS, model_from_weights, random_model, random_schema, tables_with
 
 
 def instance_all_hidden(n: int, query_var: int = 0, query_val: int = 0) -> QueryInstance:
@@ -76,6 +76,21 @@ def test_sampler_config_validation():
         SamplerConfig(chains=0)
     with pytest.raises(ValueError, match="burn_in must be at least 0, got -1"):
         SamplerConfig(burn_in=-1)
+
+
+@pytest.mark.parametrize("kind", list(SamplerKind))
+def test_a_sampler_is_its_member_or_its_value(kind):
+    rng = np.random.default_rng(4)
+    model = random_model(rng, random_schema(rng, 4))
+    evidence = np.array([[MISSING, 1, MISSING, MISSING]])
+    draws = [
+        run_chains(model, evidence, SamplerConfig(sampler=sampler, samples=20, burn_in=5, chains=2), [3])
+        for sampler in (kind, kind.value)
+    ]
+    np.testing.assert_array_equal(draws[0], draws[1])
+    assert SamplerConfig(sampler=kind.value).sampler is kind
+    with pytest.raises(ValueError, match="'exact'"):
+        SamplerConfig(sampler="exact")
 
 
 def test_random_parent_vector_is_always_a_tree():
@@ -807,14 +822,16 @@ def test_run_chains_rejects_evidence_value_out_of_range(two_binary_schema, kind,
 
 
 @pytest.mark.parametrize("kind", list(SamplerKind))
-@pytest.mark.parametrize("defect", WEIGHT_DEFECTS)
+@pytest.mark.parametrize("defect", DEP_DEFECTS)
 def test_run_chains_rejects_a_model_weight_defect(two_binary_schema, kind, defect):
-    # a NaN weight used to pass through Gibbs with only a numpy warning
-    cell, value, words = WEIGHT_DEFECTS[defect]
-    model = with_dep_weight(make_uniform_model(two_binary_schema), cell, value)
+    # a NaN weight used to pass through Gibbs with only a numpy warning; the
+    # model is now checked when it is built, before any chain starts
+    base = make_uniform_model(two_binary_schema)
+    table, cell, value, words = DEP_DEFECTS[defect]
     config = SamplerConfig(sampler=kind, samples=3, burn_in=1)
     with pytest.raises(ValueError, match=words):
-        run_chains(model, np.full((1, 2), MISSING), config, [0])
+        run_chains(LdfmModel(two_binary_schema, base.variant, **tables_with(base, table, cell, value)),
+                   np.full((1, 2), MISSING), config, [0])
 
 
 def test_run_chains_rejects_schema_mismatch(two_binary_schema):
