@@ -9,6 +9,7 @@ verbosity on standard error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import errno
 import functools
 import logging
@@ -20,6 +21,7 @@ import numpy as np
 
 from . import evaluation, learning, sampling
 from .dataio import (
+    FIXTURE_SIZES,
     Dataset,
     DatasetFormatError,
     ModelFormatError,
@@ -37,7 +39,7 @@ from .matrix_tree import (
     SingularLaplacianError,
     partition_and_posteriors_many,
 )
-from .model import MISSING
+from .model import MISSING, Variant
 from .oracle import MAX_TREE_N, brute_partition_and_posteriors
 from .rng import make_rng
 
@@ -86,13 +88,14 @@ def _parser() -> _Parser:
     train.add_argument("--data", required=True)
     train.add_argument("--schema")
     train.add_argument("--out", required=True)
-    train.add_argument("--variant", choices=["plain", "stop"], default="plain")
-    train.add_argument("--iters", type=int, default=100)
-    train.add_argument("--tol", type=float, default=1e-5)
-    train.add_argument("--smoothing", choices=["none", "additive", "sparsity"], default="additive")
-    train.add_argument("--eps", type=float, default=0.1)
-    train.add_argument("--kappa", type=float, default=0.5)
+    train.add_argument("--variant", choices=_values(Variant))
+    train.add_argument("--iters", dest="max_iters", metavar="ITERS", type=int)
+    train.add_argument("--tol", dest="rel_tol", metavar="TOL", type=float)
+    train.add_argument("--smoothing", choices=_values(learning.Smoothing))
+    train.add_argument("--eps", type=float)
+    train.add_argument("--kappa", type=float)
     train.add_argument("--workers", type=int, default=os.cpu_count(), help="E-step threads")
+    train.set_defaults(**dataclasses.asdict(learning.TrainConfig()))
 
     ev = sub.add_parser("eval", help="estimate query metrics on a test dataset")
     ev.add_argument("--model", required=True)
@@ -114,15 +117,12 @@ def _parser() -> _Parser:
     sample = sub.add_parser("sample", help="draw unconditional samples from a model")
     sample.add_argument("--model", required=True)
     sample.add_argument("--out", required=True)
-    sample.add_argument("--samples", type=int, default=1000)
-    sample.add_argument("--burn-in", type=int, default=None)
-    sample.add_argument("--thin", type=int, default=1)
-    sample.add_argument("--chains", type=int, default=1)
+    _add_sampler_flags(sample, kinds=False)
     sample.add_argument("--seed", type=int, required=True)
-    sample.set_defaults(sampler="tree")
+    sample.set_defaults(sampler=sampling.SamplerKind.TREE_AUGMENTED)
 
     gen = sub.add_parser("gen-data", help="sample a dataset from a built-in network")
-    gen.add_argument("--n", type=int, required=True, choices=[8, 11, 20])
+    gen.add_argument("--n", type=int, required=True, choices=FIXTURE_SIZES)
     gen.add_argument("--samples", type=int, default=5000)
     gen.add_argument("--out", required=True)
     gen.add_argument("--schema", help="also write the schema sidecar here")
@@ -135,23 +135,25 @@ def _parser() -> _Parser:
     return parser
 
 
-def _add_sampler_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--sampler", choices=["gibbs", "tree"], default="gibbs")
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--burn-in", type=int, default=None)
-    p.add_argument("--thin", type=int, default=1)
-    p.add_argument("--chains", type=int, default=1)
+def _add_sampler_flags(p: argparse.ArgumentParser, kinds: bool = True) -> None:
+    """The chain flags (``--sampler`` if ``kinds``), defaulting to ``SamplerConfig()``."""
+    if kinds:
+        p.add_argument("--sampler", choices=_values(sampling.SamplerKind))
+    p.add_argument("--samples", type=int)
+    p.add_argument("--burn-in", type=int)
+    p.add_argument("--thin", type=int)
+    p.add_argument("--chains", type=int)
+    p.set_defaults(**dataclasses.asdict(sampling.SamplerConfig()))
 
 
-def _sampler_config(args) -> sampling.SamplerConfig:
-    return sampling.SamplerConfig(
-        sampler=args.sampler,
-        burn_in=args.burn_in,
-        samples=args.samples,
-        thin=args.thin,
-        chains=args.chains,
-        seed=args.seed,
-    )
+def _values(kind) -> list[str]:
+    """The values of the enum ``kind``, in order: a flag's choices."""
+    return [member.value for member in kind]
+
+
+def _config(cls, args):
+    """The config class ``cls`` built from the parsed flags named after its fields."""
+    return cls(**{field.name: getattr(args, field.name) for field in dataclasses.fields(cls)})
 
 
 def _parse_bindings(schema, text: str) -> np.ndarray:
@@ -197,14 +199,7 @@ def _cmd_train(args) -> int:
                     dom[0],
                     args.data,
                 )
-    config = learning.TrainConfig(
-        max_iters=args.iters,
-        rel_tol=args.tol,
-        smoothing=args.smoothing,
-        eps=args.eps,
-        kappa=args.kappa,
-        variant=args.variant,
-    )
+    config = _config(learning.TrainConfig, args)
     t0 = time.perf_counter()
     model, trace = learning.train_em(dataset.rows, dataset.schema, config, workers=args.workers)
     logger.info(
@@ -228,7 +223,7 @@ def _cmd_eval(args) -> int:
     report = evaluation.evaluate(
         model,
         instances,
-        _sampler_config(args),
+        _config(sampling.SamplerConfig, args),
         q_frac=args.q_frac,
         e_frac=args.e_frac,
     )
@@ -246,8 +241,8 @@ def _cmd_query(args) -> int:
     query = _parse_bindings(schema, args.query)
     evidence = _parse_bindings(schema, args.evidence)
     instance = sampling.QueryInstance(query=query, evidence=evidence)
-    samples = sampling.run_chains(model, evidence[None], _sampler_config(args), [args.seed])[0]
-    prob = float(np.exp(sampling.estimate_cll(samples, instance)))
+    draws = sampling.run_chains(model, evidence, _config(sampling.SamplerConfig, args), [args.seed])
+    prob = float(np.exp(sampling.estimate_cll(draws[0], instance)))
     sys.stdout.write(f"probability: {prob:.6f}\n")
     return 0
 
@@ -255,11 +250,9 @@ def _cmd_query(args) -> int:
 def _cmd_sample(args) -> int:
     _check_out(args.out)
     model = load_model(args.model)
-    schema = model.schema
-    config = _sampler_config(args)
-    evidence = np.full((1, schema.n), MISSING, dtype=np.int64)
-    draws = sampling.run_chains(model, evidence, config, [args.seed])
-    save_dataset(Dataset(schema, draws[0]), args.out)
+    evidence = np.full(model.schema.n, MISSING)
+    draws = sampling.run_chains(model, evidence, _config(sampling.SamplerConfig, args), [args.seed])
+    save_dataset(Dataset(model.schema, draws[0]), args.out)
     return 0
 
 

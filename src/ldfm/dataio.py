@@ -27,6 +27,7 @@ from .rng import make_rng
 
 FORMAT_VERSION = 1
 LOAD_NORMALIZATION_WARN = 1e-6
+FIXTURE_SIZES = (8, 11, 20)  # variable counts of the built-in networks
 
 
 class DatasetFormatError(ValueError):

@@ -140,6 +140,7 @@ def evaluate(
     per_cll, per_cmll = [], []
     for first in range(0, len(instances), per_block):
         block = instances[first : first + per_block]
+        model.schema.check_values([inst.query for inst in block], "query")
         evidence = [inst.evidence for inst in block]
         seeds = [[config.seed, idx] for idx in range(first, first + len(block))]
         draws = run_chains(model, evidence, config, seeds)
@@ -185,8 +186,10 @@ def evaluate_baseline(
     q_frac: float,
     e_frac: float,
 ) -> EvalReport:
-    """Closed-form report from the log probability of each instance's query
-    values; evidence is ignored, so the CLL and CMLL coincide."""
+    """Closed-form report from the log probability of each instance's
+    checked query values; evidence is ignored, so the CLL and CMLL coincide."""
+    for inst in instances:
+        baseline.schema.check_values(inst.query, "query")
     per = [
         float(sum(baseline.log_marginals[v][inst.query[v]] for v in inst.query_vars))
         / inst.query_vars.size

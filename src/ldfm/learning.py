@@ -30,6 +30,8 @@ from .model import (
     LdfmModel,
     Variant,
     VariableSchema,
+    _check_count,
+    _row_keys,
     _uniform_tables,
     make_uniform_model,
 )
@@ -61,8 +63,7 @@ class TrainConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "smoothing", Smoothing(self.smoothing))
         object.__setattr__(self, "variant", Variant(self.variant))
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
+        _check_count("max_iters", self.max_iters, 1)
         for name in ("eps", "kappa", "rel_tol"):
             value = getattr(self, name)
             # NaN fails every comparison, so finiteness is checked first
@@ -124,8 +125,7 @@ class _DistinctRows(NamedTuple):
 def _distinct_rows(xs: np.ndarray) -> _DistinctRows:
     """Distinct rows of ``xs`` in order of first appearance."""
     xs = np.ascontiguousarray(xs)
-    keys = xs.view(np.dtype((np.void, xs.dtype.itemsize * xs.shape[1]))).ravel()
-    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    _, first, counts = np.unique(_row_keys(xs), return_index=True, return_counts=True)
     order = np.argsort(first)
     first = first[order]
     return _DistinctRows(xs[first], counts[order], first)

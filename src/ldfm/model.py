@@ -27,6 +27,7 @@ tiny instances.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -43,6 +44,19 @@ WEIGHT_FLOOR = 1e-12
 # WEIGHT_FLOOR; much smaller weights take the determinant core outside the
 # range in which it is checked to match enumeration.
 MIN_LOAD_WEIGHT = WEIGHT_FLOOR / 2
+
+
+def _check_count(name: str, value, least: int) -> None:
+    """Raise ValueError unless ``value`` is an integer (numpy's too) >= ``least``."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """Each row of the C-contiguous (R, n) ``rows`` as one np.void of its bytes."""
+    return rows.view(f"V{rows.itemsize * rows.shape[1]}").ravel()  # faster than an np.dtype call
 
 
 class Variant(enum.Enum):
@@ -178,17 +192,21 @@ class VariableSchema:
         name, dom = self.variables[var]
         return f"{name}={dom[row - 1 - self.offsets[var]]}"
 
-    def check_assignments(self, xs) -> np.ndarray:
-        """``xs`` as a (B, n) int64 array of complete assignments, shape (n,)
-        giving one row.  Raises ValueError for another width, a MISSING
-        entry, or a value index outside its variable's domain."""
+    def check_values(self, xs, what: str) -> np.ndarray:
+        """``xs`` as (B, n) int64 value vectors, (n,) giving one row; ValueError naming
+        ``what`` for another width or an entry neither MISSING nor in its domain."""
         xs = np.atleast_2d(np.asarray(xs, dtype=np.int64))
         if xs.ndim != 2 or xs.shape[1] != self.n:
-            raise ValueError(f"assignments must be (B, {self.n}) value indices, got {xs.shape}")
+            raise ValueError(f"{what} has shape {xs.shape}, not the schema's (B, {self.n})")
+        if np.any((xs >= self.cards) | ((xs < 0) & (xs != MISSING))):
+            raise ValueError(f"{what} value index out of range")
+        return xs
+
+    def check_assignments(self, xs) -> np.ndarray:
+        """:meth:`check_values` for complete assignments: MISSING also raises."""
+        xs = self.check_values(xs, "assignment")
         if np.any(xs == MISSING):
             raise ValueError("assignment is incomplete")
-        if np.any(xs < 0) or np.any(xs >= self.cards):
-            raise ValueError("assignment value index out of range")
         return xs
 
     def assignment_rows(self, x: np.ndarray) -> np.ndarray:

@@ -184,13 +184,13 @@ def exact_conditional(
 
     ``query`` and ``evidence`` are partial assignments (MISSING marks free
     entries) over disjoint variable sets, checked as a
-    :class:`~ldfm.sampling.QueryInstance` is; the global normalizer cancels.
+    :class:`~ldfm.sampling.QueryInstance` and by the schema; the normalizer cancels.
     """
     _check_state_space(model)
     instance = QueryInstance(query, evidence)
     query, evidence = instance.query, instance.evidence
-    if query.shape != (model.schema.n,):
-        raise ValueError("query and evidence must be length-n partial assignments")
+    model.schema.check_values(query, "query")
+    model.schema.check_values(evidence, "evidence")
 
     num_logs = []
     den_logs = []

@@ -45,7 +45,7 @@ import numpy as np
 
 from . import matrix_tree, rng as rng_mod
 from .matrix_tree import SingularLaplacianError
-from .model import MISSING, LdfmModel
+from .model import MISSING, LdfmModel, _check_count, _row_keys
 
 
 # Most floats a Gibbs memo stores over both layers, one per row log joint
@@ -100,10 +100,9 @@ class SamplerConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "sampler", SamplerKind(self.sampler))
         for name in ("samples", "thin", "chains"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if self.burn_in is not None and self.burn_in < 0:
-            raise ValueError(f"burn_in must be at least 0, got {self.burn_in}")
+            _check_count(name, getattr(self, name), 1)
+        if self.burn_in is not None:
+            _check_count("burn_in", self.burn_in, 0)
 
 
 def random_parent_vector(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -160,11 +159,6 @@ def _make_room(memo: dict, cards: list, floats: int) -> bool:
         return False
     memo.clear()
     return True
-
-
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """Each row of the C-contiguous (R, n) ``rows`` as one np.void: its memo key."""
-    return rows.view(f"V{rows.itemsize * rows.shape[1]}").ravel()  # faster than an np.dtype call
 
 
 def _memo_log_joints(
@@ -403,7 +397,7 @@ def run_chains(
     seeds: list[rng_mod.Seed],
 ) -> np.ndarray:
     """(I, chains * samples, n) pooled draws for each row of the (I, n)
-    ``evidence``, in chain order.
+    ``evidence`` (shape (n,) giving one row), in chain order.
 
     Row i runs ``config.chains`` chains on the streams
     ``chain_rngs(seeds[i], config.chains)``, so its draws do not depend on
@@ -411,16 +405,12 @@ def run_chains(
     ``thin``-th state.
     """
     n = model.schema.n
-    evidence = np.asarray(evidence, dtype=np.int64)
-    if evidence.ndim != 2 or evidence.shape[1] != n:
-        raise ValueError("instance does not match the model schema")
+    evidence = model.schema.check_values(evidence, "evidence")
     if len(evidence) == 0:
         raise ValueError("evidence must hold at least one row, got 0")
     if len(seeds) != len(evidence):
         raise ValueError(f"got {len(seeds)} seeds for {len(evidence)} evidence rows")
     pinned = evidence != MISSING
-    if np.any(pinned & ((evidence < 0) | (evidence >= model.schema.cards))):
-        raise ValueError("evidence value index out of range")
     gibbs = config.sampler is SamplerKind.GIBBS
     burn_in = config.burn_in if config.burn_in is not None else (10 if gibbs else 100) * n
     rngs = [r for seed in seeds for r in rng_mod.chain_rngs(seed, config.chains)]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ldfm import evaluation, learning, sampling
-from ldfm.cli import dispatch
+from ldfm.cli import _config, _parser, dispatch
 from ldfm.dataio import _payload_checksum, load_dataset, load_model, save_model
 from ldfm.model import LdfmModel, Variant, VariableSchema, make_uniform_model
 
@@ -60,6 +60,25 @@ def test_repeated_dispatch_prints_what_fresh_processes_print(capsys, monkeypatch
     ]
     assert in_process == [(proc.returncode, proc.stdout, proc.stderr) for proc in fresh]
     assert [code for code, _, _ in in_process] == [0, 1, 0]
+
+
+SUBCOMMAND_REQUIRED = {
+    "train": ["--data", "d.csv", "--out", "m.model"],
+    "eval": ["--model", "m.model", "--data", "d.csv", "--seed", "0"],
+    "query": ["--model", "m.model", "--query", "X1=T", "--seed", "0"],
+    "sample": ["--model", "m.model", "--out", "s.csv", "--seed", "0"],
+}
+
+
+@pytest.mark.parametrize("command", SUBCOMMAND_REQUIRED)
+def test_subcommand_defaults_are_the_configs(command):
+    args = _parser().parse_args([command, *SUBCOMMAND_REQUIRED[command]])
+    if command == "train":
+        assert _config(learning.TrainConfig, args) == learning.TrainConfig()
+    else:
+        # sample has no --sampler flag and always runs the tree sampler
+        sampler = "tree" if command == "sample" else "gibbs"
+        assert _config(sampling.SamplerConfig, args) == sampling.SamplerConfig(sampler=sampler)
 
 
 def test_check_passes_and_reports_errors(capsys):

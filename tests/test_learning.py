@@ -493,6 +493,10 @@ def test_train_config_validation():
         TrainConfig(max_iters=0)
     with pytest.raises(ValueError):
         TrainConfig(eps=-1.0)
+    # a float count used to build, and train_em then raised a TypeError
+    with pytest.raises(ValueError, match="^max_iters must be an integer, got 2.5$"):
+        TrainConfig(max_iters=2.5)
+    assert TrainConfig(max_iters=np.int64(2)).max_iters == 2
 
 
 @pytest.mark.parametrize("field", ["eps", "kappa", "rel_tol"])

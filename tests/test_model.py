@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldfm.dataio import Dataset, ModelFormatError, load_model, save_model
+from ldfm.evaluation import evaluate, evaluate_baseline, fit_independence_baseline
 from ldfm.learning import TrainConfig, train_em
 from ldfm.matrix_tree import unnormalized_log_joint_many
 from ldfm.model import (
@@ -18,7 +19,8 @@ from ldfm.model import (
     make_uniform_model,
     validate_model,
 )
-from ldfm.oracle import brute_unnormalized_joint
+from ldfm.oracle import brute_unnormalized_joint, exact_conditional
+from ldfm.sampling import QueryInstance, SamplerConfig, run_chains
 
 from conftest import WEIGHT_DEFECTS, random_model, random_schema, rewrite_payload, tables_with
 
@@ -83,6 +85,39 @@ def test_every_entry_point_rejects_a_bad_assignment(two_binary_schema, xs):
         unnormalized_log_joint_many(model, xs)
     with pytest.raises(ValueError):
         brute_unnormalized_joint(model, xs[0])
+
+
+BAD_VALUES = {
+    "wrong-width": ([0, MISSING, MISSING], r"has shape \(1, 3\), not the schema's \(B, 2\)"),
+    "minus-two": ([-2, MISSING], "value index out of range"),
+    "domain-size": ([2, MISSING], "value index out of range"),
+}
+
+
+@pytest.mark.parametrize("bad, words", BAD_VALUES.values(), ids=BAD_VALUES.keys())
+def test_every_entry_point_rejects_a_bad_value_vector(two_binary_schema, bad, words):
+    # a query value of 2 or -2 used to be answered: exact_conditional gave 0.0,
+    # evaluate a finite CLL, and the baseline read -2 as a negative index
+    model = make_uniform_model(two_binary_schema)
+    baseline = fit_independence_baseline(Dataset(two_binary_schema, np.array([[0, 1], [1, 0]])))
+    config = SamplerConfig(samples=3, burn_in=1)
+    bad = np.array(bad)
+    free = np.full(len(bad), MISSING)
+    last = free.copy()
+    last[-1] = 0  # every bad vector leaves its last slot free
+    with pytest.raises(ValueError, match=f"^evidence {words}"):
+        run_chains(model, [bad], config, [0])
+    instance = QueryInstance(query=bad, evidence=free)
+    with pytest.raises(ValueError, match=f"^query {words}"):
+        evaluate(model, [instance], config, 0.5, 0.0)
+    with pytest.raises(ValueError, match=f"^query {words}"):
+        evaluate_baseline(baseline, [instance], 0.5, 0.0)
+    with pytest.raises(ValueError, match=f"^query {words}"):
+        exact_conditional(model, bad, free)
+    # a query as wide as a wrong-width evidence vector is checked first
+    what = "evidence" if len(bad) == two_binary_schema.n else "query"
+    with pytest.raises(ValueError, match=f"^{what} {words}"):
+        exact_conditional(model, last, bad)
 
 
 def test_check_assignments_returns_int64_rows(two_binary_schema):

@@ -283,7 +283,7 @@ TWO_UNIFORM = make_uniform_model(VariableSchema((("A", ("T", "F")), ("B", ("T", 
          "model assigns zero weight to every assignment"),
         (lambda: exact_conditional(TWO_UNIFORM, np.array([0, MISSING, MISSING]),
                                    np.full(3, MISSING)),
-         "length-n partial assignments"),
+         r"query has shape \(1, 3\), not the schema's \(B, 2\)"),
         (lambda: exact_conditional(_impossible_false_model(), np.array([MISSING, 0]),
                                    np.array([1, MISSING])),
          "evidence has zero probability"),

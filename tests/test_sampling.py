@@ -76,6 +76,11 @@ def test_sampler_config_validation():
         SamplerConfig(chains=0)
     with pytest.raises(ValueError, match="burn_in must be at least 0, got -1"):
         SamplerConfig(burn_in=-1)
+    for name in ("samples", "thin", "chains", "burn_in"):
+        # a float count used to build, and run_chains then raised a TypeError
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got 2.5$"):
+            SamplerConfig(**{name: 2.5})
+        assert getattr(SamplerConfig(**{name: np.int64(3)}), name) == 3
 
 
 @pytest.mark.parametrize("kind", list(SamplerKind))
